@@ -88,7 +88,7 @@ PolicyRun RunWith(const std::string& policy_name, RingMode ring_mode, int touche
   // Confidentiality probe: a processor in the policy's ring (1) attempting
   // to touch a ring-0 segment is stopped by the ring hardware.
   Processor cpu(&machine);
-  DescriptorSegment dseg;
+  DescriptorSegment dseg(&machine.dseg_epochs());
   cpu.AttachAddressSpace(&dseg);
   PageTable kernel_table(1);
   kernel_table.entries[0].present = true;
@@ -118,15 +118,16 @@ void RunBench(const bench::BenchOptions& options) {
   Table table({"policy", "rings", "faults (denial)", "gate crossings", "crossing cycles",
                "garbage args rejected", "data intact", "ring probes stopped"});
   for (RingMode mode : {RingMode::kHardware6180, RingMode::kSoftware645}) {
-    for (const std::string& policy : {"direct-clock", "gated-clock", "malicious"}) {
+    for (const char* policy : {"direct-clock", "gated-clock", "malicious"}) {
       PolicyRun run = RunWith(policy, mode, touches);
       table.AddRow({policy, RingModeName(mode), Fmt(run.faults), Fmt(run.gate_crossings),
                     Fmt(run.crossing_cycles), Fmt(run.garbage_rejected),
                     run.data_intact ? "yes" : "NO - VIOLATION",
                     Fmt(run.ring_violations) + "/2"});
       if (mode == RingMode::kHardware6180) {
-        bench::RegisterMetric(policy + "_faults", run.faults, "faults");
-        bench::RegisterMetric(policy + "_crossing_cycles", run.crossing_cycles, "cycles");
+        bench::RegisterMetric(std::string(policy) + "_faults", run.faults, "faults");
+        bench::RegisterMetric(std::string(policy) + "_crossing_cycles", run.crossing_cycles,
+                              "cycles");
       }
     }
   }

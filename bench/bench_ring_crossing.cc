@@ -30,7 +30,7 @@ CallCosts Measure(RingMode mode, uint32_t arg_words) {
   config.ring_mode = mode;
   Machine machine(config);
   Processor cpu(&machine);
-  DescriptorSegment dseg;
+  DescriptorSegment dseg(&machine.dseg_epochs());
   cpu.AttachAddressSpace(&dseg);
   cpu.SetRing(kRingUser);
 
@@ -124,7 +124,7 @@ void BM_IntraRingCall(benchmark::State& state) {
   MachineConfig config;
   Machine machine(config);
   Processor cpu(&machine);
-  DescriptorSegment dseg;
+  DescriptorSegment dseg(&machine.dseg_epochs());
   cpu.AttachAddressSpace(&dseg);
   cpu.SetRing(kRingUser);
   PageTable table(1);
@@ -147,7 +147,7 @@ void BM_GateCall(benchmark::State& state) {
   MachineConfig config;
   Machine machine(config);
   Processor cpu(&machine);
-  DescriptorSegment dseg;
+  DescriptorSegment dseg(&machine.dseg_epochs());
   cpu.AttachAddressSpace(&dseg);
   cpu.SetRing(kRingUser);
   PageTable table(1);

@@ -124,7 +124,7 @@ struct WalkRun {
 // (re-Set of an SDW) that force full re-walks.
 WalkRun RunWalkCache(uint64_t refs) {
   Machine machine(MachineConfig{});
-  DescriptorSegment dseg;
+  DescriptorSegment dseg(&machine.dseg_epochs());
   Processor cpu(&machine);
   cpu.AttachAddressSpace(&dseg);
   cpu.SetRing(kRingUser);

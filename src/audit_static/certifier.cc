@@ -48,21 +48,19 @@ void StaticCertifier::CheckRingBrackets(AuditReport* report) {
   }
   for (Process* p : ProcessesSorted(kernel_)) {
     ++report->processes_examined;
-    for (SegNo segno = 0; segno < kMaxSegments; ++segno) {
-      const SegmentDescriptor& sdw = p->dseg().Get(segno);
-      if (!sdw.valid) continue;
+    p->dseg().ForEachValid([&](SegNo segno, const SegmentDescriptor& sdw) {
       ++report->sdws_examined;
       if (!sdw.brackets.Valid()) {
         report->findings.push_back(
             {AuditClaim::kRingBracketWellFormed, PidSegno(*p, segno), sdw.uid, p->pid(),
              segno,
              "SDW ring brackets " + sdw.brackets.ToString() + " are not monotonic"});
-        continue;
+        return;
       }
       // Consistency with the owning branch (directories deliberately carry
       // kernel-private brackets in the SDW; skip them).
       if (sdw.uid == kInvalidUid || !kernel_->store().Exists(sdw.uid)) {
-        continue;  // Claim 4 reports the dangling descriptor.
+        return;  // Claim 4 reports the dangling descriptor.
       }
       const Branch& branch = **kernel_->store().Get(sdw.uid);
       if (!branch.is_directory && !(sdw.brackets == branch.brackets)) {
@@ -72,7 +70,7 @@ void StaticCertifier::CheckRingBrackets(AuditReport* report) {
              "SDW brackets " + sdw.brackets.ToString() + " differ from branch brackets " +
                  branch.brackets.ToString()});
       }
-    }
+    });
   }
 }
 
@@ -134,10 +132,9 @@ void StaticCertifier::CheckAccessDerivation(AuditReport* report) {
   ReferenceMonitor& monitor = kernel_->monitor();
   for (Process* p : ProcessesSorted(kernel_)) {
     const bool trusted = Kernel::Trusted(*p);
-    for (SegNo segno = 0; segno < kMaxSegments; ++segno) {
-      const SegmentDescriptor& sdw = p->dseg().Get(segno);
-      if (!sdw.valid || sdw.uid == kInvalidUid || !kernel_->store().Exists(sdw.uid)) {
-        continue;
+    p->dseg().ForEachValid([&](SegNo segno, const SegmentDescriptor& sdw) {
+      if (sdw.uid == kInvalidUid || !kernel_->store().Exists(sdw.uid)) {
+        return;
       }
       const Branch& branch = **kernel_->store().Get(sdw.uid);
       if (branch.is_directory) {
@@ -148,7 +145,7 @@ void StaticCertifier::CheckAccessDerivation(AuditReport* report) {
               {AuditClaim::kAccessDerivable, PidSegno(*p, segno), sdw.uid, p->pid(), segno,
                "descriptor grants direct modes on a directory"});
         }
-        continue;
+        return;
       }
       const uint8_t derived =
           monitor.SegmentModes(branch, p->principal(), p->clearance(), trusted);
@@ -157,7 +154,7 @@ void StaticCertifier::CheckAccessDerivation(AuditReport* report) {
       if (sdw.write) held |= kModeWrite;
       if (sdw.execute) held |= kModeExecute;
       const uint8_t excess = held & static_cast<uint8_t>(~derived);
-      if (excess == 0) continue;
+      if (excess == 0) return;
       // Classify: a bit the lattice alone would strip is a reachable
       // read-up / write-down; anything else is an ACL mismatch.
       bool mls = false;
@@ -175,7 +172,7 @@ void StaticCertifier::CheckAccessDerivation(AuditReport* report) {
       report->findings.push_back(
           {mls ? AuditClaim::kMlsWidening : AuditClaim::kAccessDerivable,
            PidSegno(*p, segno), sdw.uid, p->pid(), segno, FormatAccessWitness(witness)});
-    }
+    });
   }
 }
 
@@ -183,20 +180,18 @@ void StaticCertifier::CheckAccessDerivation(AuditReport* report) {
 
 void StaticCertifier::CheckDsegConsistency(AuditReport* report) {
   for (Process* p : ProcessesSorted(kernel_)) {
-    for (SegNo segno = 0; segno < kMaxSegments; ++segno) {
-      const SegmentDescriptor& sdw = p->dseg().Get(segno);
-      if (!sdw.valid) continue;
+    p->dseg().ForEachValid([&](SegNo segno, const SegmentDescriptor& sdw) {
       if (sdw.uid == kInvalidUid) {
         report->findings.push_back(
             {AuditClaim::kDsegStoreConsistency, PidSegno(*p, segno), kInvalidUid, p->pid(),
              segno, "valid SDW with no owning segment UID"});
-        continue;
+        return;
       }
       if (!kernel_->store().Exists(sdw.uid)) {
         report->findings.push_back(
             {AuditClaim::kDsegStoreConsistency, PidSegno(*p, segno), sdw.uid, p->pid(),
              segno, "valid SDW names a segment the store no longer holds"});
-        continue;
+        return;
       }
       auto kst_uid = p->kst().UidOf(segno);
       if (!kst_uid.ok()) {
@@ -210,7 +205,7 @@ void StaticCertifier::CheckDsegConsistency(AuditReport* report) {
              "SDW uid and KST uid disagree (KST says " + std::to_string(kst_uid.value()) +
                  ")"});
       }
-    }
+    });
     // Reverse direction: everything the KST claims known must still exist.
     std::vector<std::pair<SegNo, Uid>> known;
     p->kst().ForEach([&](SegNo segno, Uid uid) { known.emplace_back(segno, uid); });
@@ -333,27 +328,25 @@ void StaticCertifier::CheckSchedulerIsolation(AuditReport* report) {
     const bool trusted = Kernel::Trusted(*p);
     const uint32_t saved_class = p->work_class();
     const uint32_t saved_level = p->sched_level();
-    auto derive = [&](SegNo segno) -> int {
-      const SegmentDescriptor& sdw = p->dseg().Get(segno);
-      if (!sdw.valid || sdw.uid == kInvalidUid || !kernel_->store().Exists(sdw.uid)) {
+    auto derive = [&](const SegmentDescriptor& sdw) -> int {
+      if (sdw.uid == kInvalidUid || !kernel_->store().Exists(sdw.uid)) {
         return -1;
       }
       const Branch& branch = **kernel_->store().Get(sdw.uid);
       if (branch.is_directory) return -1;
       return monitor.SegmentModes(branch, p->principal(), p->clearance(), trusted);
     };
-    for (SegNo segno = 0; segno < kMaxSegments; ++segno) {
-      const int baseline = derive(segno);
-      if (baseline < 0) continue;
+    p->dseg().ForEachValid([&](SegNo segno, const SegmentDescriptor& sdw) {
+      const int baseline = derive(sdw);
+      if (baseline < 0) return;
       for (uint32_t work_class = 0; work_class < classes; ++work_class) {
         for (uint32_t level = 0; level < TrafficController::kSchedLevels; ++level) {
           p->set_work_class(work_class);
           p->set_sched_level(level);
-          const int permuted = derive(segno);
+          const int permuted = derive(sdw);
           if (permuted != baseline) {
             report->findings.push_back(
-                {AuditClaim::kSchedulerIsolation, PidSegno(*p, segno),
-                 p->dseg().Get(segno).uid, p->pid(), segno,
+                {AuditClaim::kSchedulerIsolation, PidSegno(*p, segno), sdw.uid, p->pid(), segno,
                  "derived modes changed from " +
                      SegmentModeString(static_cast<uint8_t>(baseline)) + " to " +
                      SegmentModeString(static_cast<uint8_t>(permuted)) + " at work class " +
@@ -364,7 +357,7 @@ void StaticCertifier::CheckSchedulerIsolation(AuditReport* report) {
       }
       p->set_work_class(saved_class);
       p->set_sched_level(saved_level);
-    }
+    });
     p->set_work_class(saved_class);
     p->set_sched_level(saved_level);
   }

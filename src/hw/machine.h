@@ -26,6 +26,7 @@
 #include "src/hw/cost_model.h"
 #include "src/hw/injection.h"
 #include "src/hw/interrupt.h"
+#include "src/hw/sdw.h"
 #include "src/hw/sim_lock.h"
 #include "src/meter/meter.h"
 
@@ -124,6 +125,12 @@ class Machine {
   uint64_t connects_posted() const { return connects_posted_; }
   uint64_t connects_taken() const { return connects_taken_; }
 
+  // --- Descriptor segments -------------------------------------------------
+
+  // The epoch counter every descriptor segment on this machine draws from
+  // (see DsegEpochs in sdw.h).
+  DsegEpochs& dseg_epochs() { return dseg_epochs_; }
+
   // --- Kernel locks ---------------------------------------------------------
 
   LockSet& locks() { return locks_; }
@@ -191,6 +198,7 @@ class Machine {
   CounterSet charges_;
   Meter meter_{&clock_};
   FaultInjector* injector_ = nullptr;
+  DsegEpochs dseg_epochs_;
 
   uint32_t active_cpu_ = 0;
   std::vector<Cycles> local_;  // Per-CPU local clocks (cpus > 1 only).

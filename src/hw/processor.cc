@@ -1,5 +1,6 @@
 #include "src/hw/processor.h"
 
+#include "src/base/log.h"
 #include "src/meter/host_profile.h"
 
 namespace multics {
@@ -21,6 +22,12 @@ const char* RingModeName(RingMode mode) {
 }
 
 Processor::Processor(Machine* machine) : machine_(machine) { ring_stack_.reserve(64); }
+
+void Processor::AttachAddressSpace(DescriptorSegment* dseg) {
+  CHECK(dseg == nullptr || dseg->epochs() == &machine_->dseg_epochs())
+      << "descriptor segment draws its epochs from another machine";
+  dseg_ = dseg;
+}
 
 Status Processor::CheckPermissionBits(const SegmentDescriptor& sdw, AccessMode mode) const {
   switch (mode) {

@@ -30,8 +30,10 @@ class Processor {
   explicit Processor(Machine* machine);
 
   // Wires the processor to a process: its address space and the ring it runs
-  // in. The kernel swaps these on a process switch.
-  void AttachAddressSpace(DescriptorSegment* dseg) { dseg_ = dseg; }
+  // in. The kernel swaps these on a process switch. The descriptor segment
+  // must draw its epochs from this processor's machine (CHECKed), so a cached
+  // walk can only ever be compared against epochs of the same stream.
+  void AttachAddressSpace(DescriptorSegment* dseg);
   DescriptorSegment* address_space() const { return dseg_; }
   void SetFaultSink(FaultSink* sink) { faults_ = sink; }
   void SetRing(RingNumber ring) { ring_ = ring; }

@@ -329,7 +329,7 @@ void ParallelPageControl::BulkDaemonStep() {
     ++metrics_.bulk_evictions;
     bulk_->ReadAsync(bulk_addr, [this, seg, page, bulk_addr](Status st,
                                                              std::vector<Word> data) {
-      LockGuard page_table(machine_->locks().PageTable());
+      LockGuard read_done_lock(machine_->locks().PageTable());
       const PageLoc& loc = seg->location[page];
       if (loc.level != PageLevel::kInTransit || loc.addr != bulk_addr) {
         --bulk_moves_in_flight_;  // Reclaimed mid-move; the fault owns it now.
@@ -354,7 +354,7 @@ void ParallelPageControl::BulkDaemonStep() {
       disk_->WriteAsync(
           disk_addr.value(), std::move(data),
           [this, seg, page, bulk_addr, addr = disk_addr.value()](Status write_st) {
-            LockGuard page_table(machine_->locks().PageTable());
+            LockGuard write_done_lock(machine_->locks().PageTable());
             const PageLoc& now_loc = seg->location[page];
             if (now_loc.level != PageLevel::kInTransit || now_loc.addr != bulk_addr) {
               // Reclaimed while the disk write was in flight: keep the bulk

@@ -19,27 +19,30 @@ const char* TraceEventKindName(TraceEventKind kind) {
   return kKindNames[static_cast<size_t>(kind)];
 }
 
-FlightRecorder::FlightRecorder(size_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
+FlightRecorder::FlightRecorder(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
+  ring_.reserve(capacity_);
+}
 
 const TraceEvent& FlightRecorder::at(size_t i) const {
-  CHECK(i < size_);
-  // Oldest retained event sits just past the write head once wrapped.
-  size_t start = (head_ + ring_.size() - size_) % ring_.size();
-  return ring_[(start + i) % ring_.size()];
+  CHECK(i < ring_.size());
+  // Before the first wrap oldest_ is 0; after it, the oldest event sits at
+  // the next overwrite position.
+  const size_t slot = oldest_ + i;
+  return ring_[slot < ring_.size() ? slot : slot - ring_.size()];
 }
 
 std::vector<TraceEvent> FlightRecorder::Snapshot() const {
   std::vector<TraceEvent> events;
-  events.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) {
-    events.push_back(at(i));
-  }
+  events.reserve(ring_.size());
+  events.insert(events.end(), ring_.begin() + static_cast<std::ptrdiff_t>(oldest_), ring_.end());
+  events.insert(events.end(), ring_.begin(),
+                ring_.begin() + static_cast<std::ptrdiff_t>(oldest_));
   return events;
 }
 
 void FlightRecorder::Clear() {
-  head_ = 0;
-  size_ = 0;
+  ring_.clear();  // Keeps the reservation.
+  oldest_ = 0;
   total_ = 0;
 }
 

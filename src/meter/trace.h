@@ -11,7 +11,8 @@
 //
 // Events carry a `const char*` name: call sites pass string literals (or
 // otherwise static strings), never temporaries, so recording an event is a
-// handful of stores and the recorder never allocates after construction.
+// handful of stores and the recorder never allocates after construction
+// (the ring's storage is reserved up front and filled on demand).
 
 #ifndef SRC_METER_TRACE_H_
 #define SRC_METER_TRACE_H_
@@ -70,27 +71,33 @@ struct TraceEvent {
 
 class FlightRecorder {
  public:
+  // Reserves room for `capacity` events without touching it: the ring costs
+  // host memory only as events arrive, so a world that records a handful of
+  // events (the model checker rebuilds tens of thousands) never pays for the
+  // whole ring.
   explicit FlightRecorder(size_t capacity);
 
   // Inline: every span open/close and event lands here — a couple million
-  // times per benchmark run — so the ring write must not cost a call (or the
-  // modulo the wrap used to pay).
+  // times per benchmark run — so the ring write must not cost a call. Until
+  // the ring is full it appends; from then on it overwrites the oldest event
+  // in place.
   void Push(const TraceEvent& event) {
-    ring_[head_] = event;
-    if (++head_ == ring_.size()) {
-      head_ = 0;
-    }
-    if (size_ < ring_.size()) {
-      ++size_;
+    if (ring_.size() < capacity_) {
+      ring_.push_back(event);
+    } else {
+      ring_[oldest_] = event;
+      if (++oldest_ == capacity_) {
+        oldest_ = 0;
+      }
     }
     ++total_;
   }
 
-  size_t capacity() const { return ring_.size(); }
-  size_t size() const { return size_; }
+  size_t capacity() const { return capacity_; }
+  size_t size() const { return ring_.size(); }
   // Lifetime totals: events ever recorded, and how many the wrap discarded.
   uint64_t total_recorded() const { return total_; }
-  uint64_t dropped() const { return total_ - size_; }
+  uint64_t dropped() const { return total_ - ring_.size(); }
 
   // i-th oldest retained event, 0 <= i < size().
   const TraceEvent& at(size_t i) const;
@@ -101,9 +108,9 @@ class FlightRecorder {
   void Clear();
 
  private:
-  std::vector<TraceEvent> ring_;
-  size_t head_ = 0;  // Next write position.
-  size_t size_ = 0;
+  size_t capacity_;
+  std::vector<TraceEvent> ring_;  // Grows to capacity_, then wraps.
+  size_t oldest_ = 0;             // Oldest retained event once full (0 before).
   uint64_t total_ = 0;
 };
 

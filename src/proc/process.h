@@ -55,7 +55,7 @@ struct ProcessAccounting {
 class Process {
  public:
   Process(ProcessId pid, std::string name, Principal principal, MlsLabel clearance,
-          RingNumber ring, std::unique_ptr<Task> program)
+          RingNumber ring, std::unique_ptr<Task> program, DsegEpochs* dseg_epochs)
       : pid_(pid),
         name_(std::move(name)),
         principal_(std::move(principal)),
@@ -63,6 +63,7 @@ class Process {
         clearance_(clearance),
         ring_(ring),
         program_(std::move(program)),
+        dseg_(dseg_epochs),
         trace_context_(pid, ring) {}
 
   ProcessId pid() const { return pid_; }

@@ -204,8 +204,8 @@ Result<Process*> TrafficController::CreateProcess(const std::string& name,
     return Status::kProcessLimit;  // Must leave at least one shared VP.
   }
   ProcessId pid = next_pid_++;
-  auto process =
-      std::make_unique<Process>(pid, name, principal, clearance, ring, std::move(program));
+  auto process = std::make_unique<Process>(pid, name, principal, clearance, ring,
+                                           std::move(program), &machine_->dseg_epochs());
   Process* raw = process.get();
   processes_[pid] = std::move(process);
   machine_->meter().LabelProcess(pid, name);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/hw/core_memory.h"
 #include "src/hw/machine.h"
 #include "src/hw/processor.h"
@@ -59,7 +62,8 @@ TEST(RingBracketsTest, InwardCallLandsAtTopOfExecuteBracket) {
 
 class ProcessorTest : public ::testing::Test {
  public:
-  ProcessorTest() : machine_(MachineConfig{}), cpu_(&machine_) {
+  ProcessorTest()
+      : machine_(MachineConfig{}), dseg_(&machine_.dseg_epochs()), cpu_(&machine_) {
     cpu_.AttachAddressSpace(&dseg_);
     cpu_.SetRing(kRingUser);
   }
@@ -348,6 +352,161 @@ TEST_F(ProcessorTest, OutwardCallFaultsByDefault) {
 }
 
 // --- Core memory -------------------------------------------------------------
+
+// --- Two-level descriptor segment ---------------------------------------------
+
+SegmentDescriptor ReadableSdw(uint64_t uid) {
+  SegmentDescriptor sdw;
+  sdw.valid = true;
+  sdw.brackets = UserBrackets();
+  sdw.read = true;
+  sdw.uid = uid;
+  return sdw;
+}
+
+TEST(DescriptorSegmentTest, AbsentPageReadsInvalid) {
+  DsegEpochs epochs;
+  DescriptorSegment dseg(&epochs);
+  EXPECT_EQ(dseg.pages_allocated(), 0u);
+  for (SegNo segno : {SegNo{0}, SegNo{63}, SegNo{64}, SegNo{kMaxSegments - 1}}) {
+    EXPECT_FALSE(dseg.Get(segno).valid);
+  }
+  dseg.Set(70, ReadableSdw(7));
+  EXPECT_EQ(dseg.pages_allocated(), 1u);
+  EXPECT_TRUE(dseg.Get(70).valid);
+  EXPECT_FALSE(dseg.Get(71).valid);   // Same page, never set.
+  EXPECT_FALSE(dseg.Get(200).valid);  // Page still absent.
+  EXPECT_FALSE(dseg.Get(kMaxSegments).valid);
+  EXPECT_EQ(dseg.GetMutable(kMaxSegments), nullptr);
+}
+
+TEST(DescriptorSegmentTest, ClearOnAbsentPageAllocatesNothing) {
+  DsegEpochs epochs;
+  DescriptorSegment dseg(&epochs);
+  dseg.Clear(5);
+  dseg.Clear(4000);
+  EXPECT_EQ(dseg.pages_allocated(), 0u);
+  EXPECT_EQ(dseg.CountValid(), 0u);
+}
+
+TEST(DescriptorSegmentTest, CopyIsDeepAndIndependent) {
+  DsegEpochs epochs;
+  DescriptorSegment source(&epochs);
+  source.Set(10, ReadableSdw(1));
+  source.Set(3000, ReadableSdw(2));
+  DescriptorSegment copy(source);
+  EXPECT_NE(copy.epoch(), source.epoch());
+  EXPECT_EQ(copy.CountValid(), 2u);
+  EXPECT_EQ(copy.Get(3000).uid, 2u);
+
+  copy.GetMutable(10)->read = false;
+  copy.Clear(3000);
+  copy.Set(500, ReadableSdw(3));
+  EXPECT_TRUE(source.Get(10).read);
+  EXPECT_TRUE(source.Get(3000).valid);
+  EXPECT_FALSE(source.Get(500).valid);
+  EXPECT_EQ(source.pages_allocated(), 2u);
+
+  source.Set(11, ReadableSdw(4));
+  EXPECT_FALSE(copy.Get(11).valid);
+}
+
+TEST(DescriptorSegmentTest, EveryMutatorBumpsTheEpoch) {
+  DsegEpochs epochs;
+  DescriptorSegment dseg(&epochs);
+  uint64_t last = dseg.epoch();
+  auto bumped = [&] {
+    const bool newer = dseg.epoch() > last;
+    last = dseg.epoch();
+    return newer;
+  };
+  dseg.Set(9, ReadableSdw(1));
+  EXPECT_TRUE(bumped());
+  ASSERT_NE(dseg.GetMutable(9), nullptr);
+  EXPECT_TRUE(bumped());
+  ASSERT_NE(dseg.GetMutable(1000), nullptr);  // Allocates its page.
+  EXPECT_TRUE(bumped());
+  dseg.Clear(9);
+  EXPECT_TRUE(bumped());
+  dseg.Clear(2000);  // Absent page: nothing to clear, still a new epoch.
+  EXPECT_TRUE(bumped());
+}
+
+TEST(DescriptorSegmentTest, ForEachValidMatchesDenseScan) {
+  DsegEpochs epochs;
+  DescriptorSegment dseg(&epochs);
+  // Out of order, spanning first/last pages, with an invalid SDW set on an
+  // allocated page and a cleared entry.
+  for (SegNo segno : {SegNo{4095}, SegNo{0}, SegNo{130}, SegNo{64}, SegNo{63}, SegNo{2048}}) {
+    dseg.Set(segno, ReadableSdw(segno + 1));
+  }
+  SegmentDescriptor invalid = ReadableSdw(99);
+  invalid.valid = false;
+  dseg.Set(131, invalid);
+  dseg.Clear(2048);
+
+  std::vector<std::pair<SegNo, uint64_t>> dense;
+  for (SegNo segno = 0; segno < kMaxSegments; ++segno) {
+    if (dseg.Get(segno).valid) dense.emplace_back(segno, dseg.Get(segno).uid);
+  }
+  std::vector<std::pair<SegNo, uint64_t>> visited;
+  dseg.ForEachValid(
+      [&](SegNo segno, const SegmentDescriptor& sdw) { visited.emplace_back(segno, sdw.uid); });
+  EXPECT_EQ(visited, dense);
+  EXPECT_EQ(dseg.CountValid(), dense.size());
+  EXPECT_EQ(dense.size(), 5u);
+}
+
+TEST(DescriptorSegmentTest, CachedWalkIsNeverServedToANewDsegAtTheSameAddress) {
+  Machine machine(MachineConfig{});
+  Processor cpu(&machine);
+  cpu.SetRing(kRingUser);
+  PageTable table(1);
+  table.entries[0].present = true;
+  SegmentDescriptor sdw = ReadableSdw(1);
+  sdw.page_table = &table;
+  sdw.length_pages = 1;
+
+  std::optional<DescriptorSegment> slot;
+  slot.emplace(&machine.dseg_epochs());
+  const DescriptorSegment* first = &*slot;
+  slot->Set(10, sdw);
+  cpu.AttachAddressSpace(&*slot);
+  ASSERT_TRUE(cpu.Read(10, 0).ok());  // Warms the read walk cache.
+
+  // Destroy it and build a fresh, empty one in the same storage. Its epoch
+  // comes from the same machine counter, so it can never equal the cached one.
+  slot.reset();
+  slot.emplace(&machine.dseg_epochs());
+  ASSERT_EQ(&*slot, first);
+  cpu.AttachAddressSpace(&*slot);
+  EXPECT_EQ(cpu.Read(10, 0).status(), Status::kNoSuchSegment);
+  EXPECT_EQ(cpu.segment_faults(), 1u);
+}
+
+TEST(DescriptorSegmentTest, MachinesHaveIndependentEpochStreams) {
+  Machine a(MachineConfig{});
+  Machine b(MachineConfig{});
+  DescriptorSegment on_b(&b.dseg_epochs());
+  const uint64_t b_start = on_b.epoch();
+  DescriptorSegment on_a(&a.dseg_epochs());
+  EXPECT_EQ(on_a.epoch(), b_start);  // Both are the first stamp of their own stream.
+  for (SegNo segno = 0; segno < 100; ++segno) {
+    on_a.Set(segno, ReadableSdw(segno));
+  }
+  // a's hundred mutations drew nothing from b's stream.
+  on_b.Set(1, ReadableSdw(1));
+  EXPECT_EQ(on_b.epoch(), b_start + 1);
+  EXPECT_EQ(b.dseg_epochs().Next(), b_start + 2);
+}
+
+TEST(DescriptorSegmentDeathTest, ProcessorRefusesAForeignMachinesDseg) {
+  Machine a(MachineConfig{});
+  Machine b(MachineConfig{});
+  Processor cpu(&a);
+  DescriptorSegment foreign(&b.dseg_epochs());
+  EXPECT_DEATH(cpu.AttachAddressSpace(&foreign), "another machine");
+}
 
 TEST(CoreMemoryTest, PageTransferRoundTrip) {
   CoreMemory core(4);

@@ -52,6 +52,62 @@ TEST(FlightRecorderTest, WrapDropsOldestKeepsOrder) {
   EXPECT_EQ(snapshot.back().arg, 9u);
 }
 
+TEST(FlightRecorderTest, CapacityIsTheConstructorArgument) {
+  FlightRecorder recorder(/*capacity=*/65536);
+  EXPECT_EQ(recorder.capacity(), 65536u);
+  EXPECT_EQ(recorder.size(), 0u);
+  EXPECT_EQ(recorder.dropped(), 0u);
+  EXPECT_TRUE(recorder.Snapshot().empty());
+}
+
+TEST(FlightRecorderTest, WrapOrderAndDroppedAcrossSeveralLaps) {
+  FlightRecorder recorder(/*capacity=*/3);
+  for (uint64_t i = 0; i < 11; ++i) {
+    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, "d", i});
+    // Every prefix reads back as its newest min(i + 1, 3) events, oldest first.
+    const size_t kept = i + 1 < 3 ? i + 1 : 3;
+    ASSERT_EQ(recorder.size(), kept);
+    EXPECT_EQ(recorder.dropped(), i + 1 - kept);
+    auto snapshot = recorder.Snapshot();
+    ASSERT_EQ(snapshot.size(), kept);
+    for (size_t j = 0; j < kept; ++j) {
+      EXPECT_EQ(recorder.at(j).arg, i + 1 - kept + j);
+      EXPECT_EQ(snapshot[j].arg, recorder.at(j).arg);
+    }
+  }
+  EXPECT_EQ(recorder.capacity(), 3u);
+  EXPECT_EQ(recorder.total_recorded(), 11u);
+  EXPECT_EQ(recorder.dropped(), 8u);
+}
+
+TEST(FlightRecorderTest, ClearThenRefill) {
+  FlightRecorder recorder(/*capacity=*/4);
+  for (uint64_t i = 0; i < 6; ++i) {
+    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, "d", i});
+  }
+  recorder.Clear();
+  EXPECT_EQ(recorder.size(), 0u);
+  EXPECT_EQ(recorder.total_recorded(), 0u);
+  EXPECT_EQ(recorder.dropped(), 0u);
+  EXPECT_EQ(recorder.capacity(), 4u);
+  for (uint64_t i = 100; i < 102; ++i) {
+    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, "d", i});
+  }
+  ASSERT_EQ(recorder.size(), 2u);
+  EXPECT_EQ(recorder.at(0).arg, 100u);
+  EXPECT_EQ(recorder.at(1).arg, 101u);
+  for (uint64_t i = 102; i < 107; ++i) {
+    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, "d", i});
+  }
+  EXPECT_EQ(recorder.size(), 4u);
+  EXPECT_EQ(recorder.dropped(), 3u);
+  auto snapshot = recorder.Snapshot();
+  ASSERT_EQ(snapshot.size(), 4u);
+  for (size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(snapshot[j].arg, 103u + j);
+  }
+}
+
 TEST(MeterTest, SpansNestAndPairUp) {
   SimClock clock;
   Meter meter(&clock, /*recorder_capacity=*/64);
