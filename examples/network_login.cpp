@@ -25,7 +25,7 @@ int main() {
   std::printf("Kernel external-I/O gates: device-io=%u network=%u; 'login' gate exists: %s\n",
               kernel.gates().CountByCategory(GateCategory::kDeviceIo),
               kernel.gates().CountByCategory(GateCategory::kNetwork),
-              kernel.gates().Has("login") ? "yes" : "no");
+              kernel.gates().Has(GateId::kLogin) ? "yes" : "no");
 
   // The answering service sets itself up in the user ring and registers the
   // user population in its own protected segment.

@@ -97,32 +97,16 @@ void StaticCertifier::CheckGates(AuditReport* report) {
 
   // (b) The kernel's own gate surface must be exactly the configuration's
   // census — no phantom entry points, no missing registrations.
-  std::map<std::string, GateCategory> expected;
-  for (const GateSpec& spec : GateCensus(kernel_->config())) {
-    expected.emplace(spec.name, spec.category);
-  }
-  std::set<std::string> registered;
-  for (const GateInfo& gate : kernel_->gates().gates()) {
-    ++report->gates_examined;
-    registered.insert(gate.name);
-    auto it = expected.find(gate.name);
-    if (it == expected.end()) {
-      report->findings.push_back(
-          {AuditClaim::kGateRegistry, gate.name, kInvalidUid, 0, 0,
-           "gate registered in the live table but absent from the configuration's census"});
-    } else if (it->second != gate.category) {
-      report->findings.push_back(
-          {AuditClaim::kGateRegistry, gate.name, kInvalidUid, 0, 0,
-           "gate category disagrees with the census"});
-    }
-  }
-  for (const auto& [name, category] : expected) {
-    (void)category;
-    if (!registered.contains(name)) {
-      report->findings.push_back(
-          {AuditClaim::kGateRegistry, name, kInvalidUid, 0, 0,
-           "gate in the configuration's census but missing from the live table"});
-    }
+  const GateSet expected = PresentGates(kernel_->config());
+  const GateSet& registered = kernel_->gates().present();
+  report->gates_examined += registered.count();
+  for (size_t i = 0; i < kGateCount; ++i) {
+    if (registered.test(i) == expected.test(i)) continue;
+    report->findings.push_back(
+        {AuditClaim::kGateRegistry, GateName(GateAt(i)).c_str(), kInvalidUid, 0, 0,
+         registered.test(i)
+             ? "gate registered in the live table but absent from the configuration's census"
+             : "gate in the configuration's census but missing from the live table"});
   }
 }
 

@@ -12,18 +12,36 @@
 
 namespace multics {
 
-// Open-addressed pointer -> small-integer cache for hot paths that name
-// things with string literals (cycle-charge categories, gate names, meter
-// names). The cached pointer must have static storage duration: the cache
-// compares and stores the *pointer*, never the characters, so a reused
-// buffer with different contents would alias. Callers keep a string-keyed
+// A name with static storage duration: the only way to name a counter,
+// cycle-charge category, trace event, or span by text on a hot path. The
+// constructor is consteval and takes a character array, so a string literal
+// or a static array converts, while a runtime buffer does not compile —
+// std::string::c_str() is no array, and the address of a stack array is no
+// constant expression. A StaticName's pointer therefore identifies its text
+// for the life of the program, which lets the caches below and the flight
+// recorder keep the pointer instead of a copy.
+class StaticName {
+ public:
+  template <size_t N>
+  consteval StaticName(const char (&name)[N]) : name_(name) {}  // Implicit: literals convert.
+
+  constexpr const char* c_str() const { return name_; }
+
+ private:
+  const char* name_;
+};
+
+// Open-addressed StaticName -> small-integer cache for hot paths. It
+// compares and stores the *pointer*, never the characters, so one text
+// reached through two pointers is two keys: callers keep a string-keyed
 // structure as the source of truth and use this purely as a lookaside, so a
 // cold miss is never wrong, only slow.
 class StaticNameCache {
  public:
   static constexpr uint32_t kMiss = 0xffffffffu;
 
-  uint32_t Lookup(const void* key) const {
+  uint32_t Lookup(StaticName name) const {
+    const void* key = name.c_str();
     if (slots_.empty()) {
       return kMiss;
     }
@@ -39,7 +57,24 @@ class StaticNameCache {
     }
   }
 
-  void Insert(const void* key, uint32_t value) {
+  void Insert(StaticName name, uint32_t value) { Place(name.c_str(), value); }
+
+  void Clear() {
+    slots_.clear();
+    count_ = 0;
+  }
+
+ private:
+  struct Slot {
+    const void* key = nullptr;
+    uint32_t value = 0;
+  };
+
+  static size_t Hash(const void* key) {
+    return (reinterpret_cast<uintptr_t>(key) >> 3) * 0x9E3779B97F4A7C15ull;
+  }
+
+  void Place(const void* key, uint32_t value) {
     if ((count_ + 1) * 4 >= slots_.size() * 3) {
       Grow();
     }
@@ -58,28 +93,13 @@ class StaticNameCache {
     }
   }
 
-  void Clear() {
-    slots_.clear();
-    count_ = 0;
-  }
-
- private:
-  struct Slot {
-    const void* key = nullptr;
-    uint32_t value = 0;
-  };
-
-  static size_t Hash(const void* key) {
-    return (reinterpret_cast<uintptr_t>(key) >> 3) * 0x9E3779B97F4A7C15ull;
-  }
-
   void Grow() {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
     count_ = 0;
     for (const Slot& slot : old) {
       if (slot.key != nullptr) {
-        Insert(slot.key, slot.value);
+        Place(slot.key, slot.value);
       }
     }
   }
@@ -119,21 +139,15 @@ class Distribution {
 // kernel instructions executed, pages moved, audit denials...). Every cycle
 // charge goes through Increment. The name-sorted index is the source of
 // truth (Snapshot() is therefore deterministically name-ordered); values
-// live in a separate slot array so the literal-named fast path — the
-// `const char*` overload every Machine::Charge call takes — is one
-// StaticNameCache probe plus an array add, with no temporary std::string.
+// live in a separate slot array so Increment — which every Machine::Charge
+// call takes — is one StaticNameCache probe plus an array add, with no
+// temporary std::string.
 class CounterSet {
  public:
-  void Increment(const std::string& name, uint64_t delta = 1) {
-    cells_[SlotFor(name)] += delta;
-  }
-  // Fast path for static-storage names (string literals). The pointer is
-  // cached, so the name must stay valid and its contents stable for the
-  // lifetime of the set.
-  void Increment(const char* name, uint64_t delta = 1) {
+  void Increment(StaticName name, uint64_t delta = 1) {
     uint32_t slot = ptr_cache_.Lookup(name);
     if (slot == StaticNameCache::kMiss) {
-      slot = SlotFor(name);
+      slot = SlotFor(name.c_str());
       ptr_cache_.Insert(name, slot);
     }
     cells_[slot] += delta;

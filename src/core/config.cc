@@ -47,110 +47,29 @@ KernelConfiguration KernelConfiguration::Kernelized6180() {
   return config;
 }
 
-std::vector<GateSpec> GateCensus(const KernelConfiguration& config) {
-  std::vector<GateSpec> census;
-  auto add = [&census](GateSpec spec) { census.push_back(spec); };
-
-  // Segment-number address space (the minimal interface).
-  add({"get_root_dir", GateCategory::kAddressSpace});
-  add({"initiate_seg", GateCategory::kAddressSpace});
-  add({"terminate_seg", GateCategory::kAddressSpace});
-  add({"kst_status", GateCategory::kAddressSpace});
-
-  // Pathname addressing: the kernel-resident half of the old naming world.
-  if (config.naming_in_kernel) {
-    add({"initiate_path", GateCategory::kPathAddressing});
-    add({"initiate_count_path", GateCategory::kPathAddressing});
-    add({"terminate_path", GateCategory::kPathAddressing});
-    add({"terminate_file_path", GateCategory::kPathAddressing});
-    add({"status_path", GateCategory::kPathAddressing});
-    add({"create_seg_path", GateCategory::kPathAddressing});
-    add({"delete_path", GateCategory::kPathAddressing});
-    add({"list_dir_path", GateCategory::kPathAddressing});
-    add({"set_acl_path", GateCategory::kPathAddressing});
-    add({"chname_path", GateCategory::kPathAddressing});
-    add({"quota_read_path", GateCategory::kPathAddressing});
-
-    add({"bind_ref_name", GateCategory::kNaming});
-    add({"unbind_ref_name", GateCategory::kNaming});
-    add({"lookup_ref_name", GateCategory::kNaming});
-    add({"list_ref_names", GateCategory::kNaming});
-    add({"terminate_ref_name", GateCategory::kNaming});
-    add({"set_search_rules", GateCategory::kNaming});
-    add({"get_search_rules", GateCategory::kNaming});
-    add({"search_initiate", GateCategory::kNaming});
-    add({"get_pathname", GateCategory::kNaming});
-    add({"expand_pathname", GateCategory::kNaming});
+GateSet PresentGates(const KernelConfiguration& config) {
+  GateSet present;
+  for (size_t i = 0; i < kGateCount; ++i) {
+    bool on = true;
+    switch (GatePresenceOf(GateAt(i))) {
+      case GatePresence::kAlways:
+        break;
+      case GatePresence::kNamingInKernel:
+        on = config.naming_in_kernel;
+        break;
+      case GatePresence::kLinkerInKernel:
+        on = config.linker_in_kernel;
+        break;
+      case GatePresence::kPerDeviceIo:
+        on = config.per_device_io;
+        break;
+      case GatePresence::kLegacyLogin:
+        on = !config.login_as_subsystem_entry;
+        break;
+    }
+    present.set(i, on);
   }
-
-  if (config.linker_in_kernel) {
-    add({"link_snap_all", GateCategory::kLinker});
-    add({"link_snap_one", GateCategory::kLinker});
-    add({"link_lookup_symbol", GateCategory::kLinker});
-    add({"link_get_entry_bound", GateCategory::kLinker});
-    add({"link_get_defs", GateCategory::kLinker});
-    add({"link_unsnap", GateCategory::kLinker});
-    add({"combine_linkage", GateCategory::kLinker});
-    add({"set_linkage_ptr", GateCategory::kLinker});
-  }
-
-  // File system (segment-number directory interface).
-  add({"fs_create_seg", GateCategory::kFileSystem});
-  add({"fs_create_dir", GateCategory::kFileSystem});
-  add({"fs_create_link", GateCategory::kFileSystem});
-  add({"fs_delete_entry", GateCategory::kFileSystem});
-  add({"fs_rename", GateCategory::kFileSystem});
-  add({"fs_add_name", GateCategory::kFileSystem});
-  add({"fs_list_dir", GateCategory::kFileSystem});
-  add({"fs_status_seg", GateCategory::kFileSystem});
-  add({"fs_set_acl", GateCategory::kFileSystem});
-  add({"fs_remove_acl_entry", GateCategory::kFileSystem});
-  add({"fs_list_acl", GateCategory::kFileSystem});
-  add({"fs_set_ring_brackets", GateCategory::kFileSystem});
-  add({"fs_set_max_length", GateCategory::kFileSystem});
-  add({"fs_set_quota", GateCategory::kFileSystem});
-  add({"fs_get_quota", GateCategory::kFileSystem});
-
-  add({"seg_get_length", GateCategory::kSegment});
-  add({"seg_set_length", GateCategory::kSegment});
-  add({"seg_truncate", GateCategory::kSegment});
-
-  add({"proc_create", GateCategory::kProcess});
-  add({"proc_destroy", GateCategory::kProcess});
-  add({"proc_get_info", GateCategory::kProcess});
-  add({"proc_metering", GateCategory::kProcess});
-
-  add({"ipc_create_channel", GateCategory::kIpc});
-  add({"ipc_destroy_channel", GateCategory::kIpc});
-  add({"ipc_wakeup", GateCategory::kIpc});
-  add({"ipc_block", GateCategory::kIpc});
-  add({"ipc_channel_status", GateCategory::kIpc});
-
-  if (config.per_device_io) {
-    add({"tty_read", GateCategory::kDeviceIo});
-    add({"tty_write", GateCategory::kDeviceIo});
-    add({"card_read", GateCategory::kDeviceIo});
-    add({"printer_write", GateCategory::kDeviceIo});
-    add({"printer_eject", GateCategory::kDeviceIo});
-    add({"tape_read", GateCategory::kDeviceIo});
-    add({"tape_write", GateCategory::kDeviceIo});
-    add({"tape_rewind", GateCategory::kDeviceIo});
-    add({"tape_skip", GateCategory::kDeviceIo});
-  }
-
-  add({"net_open", GateCategory::kNetwork});
-  add({"net_close", GateCategory::kNetwork});
-  add({"net_read", GateCategory::kNetwork});
-  add({"net_write", GateCategory::kNetwork});
-  add({"net_status", GateCategory::kNetwork});
-
-  add({"shutdown", GateCategory::kAdmin});
-  add({"metering_info", GateCategory::kAdmin});
-  if (!config.login_as_subsystem_entry) {
-    add({"login", GateCategory::kAdmin});
-    add({"logout", GateCategory::kAdmin});
-  }
-  return census;
+  return present;
 }
 
 }  // namespace multics

@@ -7,7 +7,6 @@
 #define SRC_CORE_CONFIG_H_
 
 #include <string>
-#include <vector>
 
 #include "src/core/gate.h"
 #include "src/hw/machine.h"
@@ -55,18 +54,10 @@ struct KernelConfiguration {
   static KernelConfiguration Kernelized6180();
 };
 
-// One entry of the gate census (experiment E1's unit of measure).
-struct GateSpec {
-  const char* name;
-  GateCategory category;
-};
-
-// The user-callable gate surface this configuration's kernel exposes — the
-// single source of truth: Kernel::RegisterGates registers exactly this list,
-// and the static certifier (src/audit_static) re-derives it to verify the
-// live gate table matches. mx_lint cross-checks that every name here is
-// entered through the MX_ENTER_GATE prologue somewhere in src/core.
-std::vector<GateSpec> GateCensus(const KernelConfiguration& config);
+// The gates this configuration's kernel exposes, from the census in
+// gate.h: Kernel builds its gate table from this set, and the static
+// certifier re-derives it to verify the live table matches.
+GateSet PresentGates(const KernelConfiguration& config);
 
 }  // namespace multics
 

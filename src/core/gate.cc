@@ -30,65 +30,34 @@ const char* GateCategoryName(GateCategory category) {
   return "?";
 }
 
-Status GateTable::Register(const std::string& name, GateCategory category) {
-  if (Has(name)) {
+Status GateTable::Register(GateId id) {
+  if (Has(id)) {
     return Status::kAlreadyExists;
   }
-  gates_.push_back(GateInfo{name, category, 0});
-  meter_slots_.push_back(kNoMeterSlot);
-  // A pointer may have been cached as a known miss before this name existed.
-  name_cache_.Clear();
+  present_.set(GateIndex(id));
   return Status::kOk;
-}
-
-bool GateTable::Has(const std::string& name) const {
-  return IndexOf(name) >= 0;
-}
-
-int32_t GateTable::IndexOf(std::string_view name) const {
-  for (size_t i = 0; i < gates_.size(); ++i) {
-    if (gates_[i].name == name) {
-      return static_cast<int32_t>(i);
-    }
-  }
-  return -1;
-}
-
-Status GateTable::RecordCall(const std::string& name) {
-  const int32_t index = IndexOf(name);
-  if (index < 0) {
-    return Status::kNotAGate;
-  }
-  ++gates_[static_cast<size_t>(index)].calls;
-  ++total_calls_;
-  return Status::kOk;
-}
-
-int32_t GateTable::RecordCallIndexed(const char* name) {
-  uint32_t cached = name_cache_.Lookup(name);
-  if (cached == StaticNameCache::kMiss) {
-    // First call through this pointer: resolve by contents, remember the
-    // verdict (index + 1; 0 encodes "not a gate here") for every later call.
-    cached = static_cast<uint32_t>(IndexOf(name) + 1);
-    name_cache_.Insert(name, cached);
-  }
-  if (cached == 0) {
-    return -1;
-  }
-  const int32_t index = static_cast<int32_t>(cached) - 1;
-  ++gates_[static_cast<size_t>(index)].calls;
-  ++total_calls_;
-  return index;
 }
 
 uint32_t GateTable::CountByCategory(GateCategory category) const {
   uint32_t n = 0;
-  for (const GateInfo& gate : gates_) {
-    if (gate.category == category) {
+  for (size_t i = 0; i < kGateCount; ++i) {
+    if (present_.test(i) && GateCategoryOf(GateAt(i)) == category) {
       ++n;
     }
   }
   return n;
+}
+
+std::vector<GateInfo> GateTable::gates() const {
+  std::vector<GateInfo> out;
+  out.reserve(present_.count());
+  for (size_t i = 0; i < kGateCount; ++i) {
+    if (present_.test(i)) {
+      const GateId id = GateAt(i);
+      out.push_back(GateInfo{GateName(id).c_str(), GateCategoryOf(id), calls_[i]});
+    }
+  }
+  return out;
 }
 
 }  // namespace multics

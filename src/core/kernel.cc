@@ -68,6 +68,7 @@ Kernel::Kernel(const KernelParams& params)
       policy_(MakePolicy(params_.replacement_policy)),
       store_(&machine_, &ast_, &disk_),
       hierarchy_(&store_),
+      gates_(PresentGates(params_.config)),
       audit_(),
       monitor_(&audit_, params_.config.mls_enforcement),
       traffic_(&machine_, params_.virtual_processors),
@@ -104,24 +105,15 @@ Kernel::Kernel(const KernelParams& params)
     flaws_.Add(report);
   }
 
-  RegisterGates();
+  gate_dist_ids_.fill(kInvalidMeterId);
 }
 
 Kernel::~Kernel() = default;
 
-void Kernel::RegisterGates() {
-  // The census lives in config.cc (single source of truth): the static
-  // certifier re-derives it to check the live table, and mx_lint checks that
-  // every census name is entered through the MX_ENTER_GATE prologue.
-  for (const GateSpec& spec : GateCensus(params_.config)) {
-    CHECK(gates_.Register(spec.name, spec.category) == Status::kOk);
-  }
-}
-
 // --- Gate prologue -------------------------------------------------------------------
 
-GateSpan::GateSpan(Kernel* kernel, Process& caller, const char* name, uint32_t arg_words)
-    : kernel_(kernel), name_(name), status_(kernel->EnterGate(caller, name, &gate_index_)) {
+GateSpan::GateSpan(Kernel* kernel, Process& caller, GateId gate, uint32_t arg_words)
+    : kernel_(kernel), gate_(gate), status_(kernel->EnterGate(caller, gate)) {
   if (status_ != Status::kOk) {
     return;
   }
@@ -138,7 +130,7 @@ GateSpan::GateSpan(Kernel* kernel, Process& caller, const char* name, uint32_t a
     // span itself stays on the current causal stack, so a gate called from a
     // bench's session span (or another process's open span) nests under it.
     saved_attribution_ = meter.SetAttribution(Attribution{caller.pid(), kRingKernel});
-    ctx_ = meter.OpenSpan(name_, TraceEventKind::kGateEnter);
+    ctx_ = meter.OpenSpan(GateName(gate_), TraceEventKind::kGateEnter);
   }
   // Charged after the span opens so the crossing is gate self-time; the
   // charge itself does not depend on whether the meter is enabled.
@@ -156,21 +148,21 @@ GateSpan::~GateSpan() {
   const Cycles elapsed = meter.CloseSpan(ctx_, TraceEventKind::kGateExit);
   meter.SetAttribution(saved_attribution_);
   if (meter.enabled()) {
-    // The per-gate distribution id is interned once and cached in the gate
-    // table, so the steady state records "gate/<name>" without building the
-    // name: 334k gate calls per 10k-session run made this concatenation one
-    // of the hottest allocation sites in the simulator.
-    uint32_t& slot = kernel_->gates_.meter_slot(gate_index_);
-    if (slot == GateTable::kNoMeterSlot) {
-      slot = meter.InternDistribution(std::string("gate/") + name_);
+    // The per-gate distribution id is interned once and cached by GateId,
+    // so the steady state records "gate/<name>" without building the name:
+    // 334k gate calls per 10k-session run made this concatenation one of the
+    // hottest allocation sites in the simulator.
+    MeterId& id = kernel_->gate_dist_ids_[GateIndex(gate_)];
+    if (id == kInvalidMeterId) {
+      id = meter.InternDistribution(std::string("gate/") + GateName(gate_).c_str());
     }
-    meter.AddSample(slot, static_cast<double>(elapsed));
+    meter.AddSample(id, static_cast<double>(elapsed));
   }
 }
 
-Status Kernel::EnterGate(Process& caller, const char* name, int32_t* gate_index) {
-  const int32_t index = gates_.RecordCallIndexed(name);
-  if (index < 0) {
+Status Kernel::EnterGate(Process& caller, GateId gate) {
+  const char* name = GateName(gate).c_str();
+  if (gates_.RecordCall(gate) != Status::kOk) {
     // The mechanism is not part of this configuration's kernel: there is no
     // such gate in the descriptor, so the hardware would fault the call.
     audit_.Record(machine_.clock().now(), caller.principal_string(), name, kInvalidUid,
@@ -192,9 +184,6 @@ Status Kernel::EnterGate(Process& caller, const char* name, int32_t* gate_index)
                     d.fault);
       return d.fault;
     }
-  }
-  if (gate_index != nullptr) {
-    *gate_index = index;
   }
   return Status::kOk;
 }
@@ -236,7 +225,7 @@ Result<Process*> Kernel::BootstrapProcess(const std::string& name, const Princip
 Result<Process*> Kernel::ProcCreate(Process& caller, const std::string& name,
                                     const Principal& principal, const MlsLabel& clearance,
                                     std::unique_ptr<Task> program) {
-  MX_ENTER_GATE(caller, "proc_create");
+  MX_ENTER_GATE(caller, GateId::kProcCreate);
   Principal effective = principal;
   MlsLabel label = clearance;
   if (caller.ring() > kRingSupervisor) {
@@ -255,7 +244,7 @@ Result<Process*> Kernel::ProcCreate(Process& caller, const std::string& name,
 }
 
 Status Kernel::ProcDestroy(Process& caller, ProcessId pid) {
-  MX_ENTER_GATE(caller, "proc_destroy");
+  MX_ENTER_GATE(caller, GateId::kProcDestroy);
   Process* victim = traffic_.Find(pid);
   if (victim == nullptr) {
     return Status::kNoSuchProcess;
@@ -278,7 +267,7 @@ Status Kernel::ProcDestroy(Process& caller, ProcessId pid) {
 }
 
 Result<std::string> Kernel::ProcGetInfo(Process& caller, ProcessId pid) {
-  MX_ENTER_GATE(caller, "proc_get_info");
+  MX_ENTER_GATE(caller, GateId::kProcGetInfo);
   Process* process = traffic_.Find(pid);
   if (process == nullptr) {
     return Status::kNoSuchProcess;
@@ -290,7 +279,7 @@ Result<std::string> Kernel::ProcGetInfo(Process& caller, ProcessId pid) {
 }
 
 Result<std::string> Kernel::ProcMetering(Process& caller) {
-  MX_ENTER_GATE(caller, "proc_metering", 2);
+  MX_ENTER_GATE(caller, GateId::kProcMetering, 2);
   const ProcessAccounting& accounting = caller.accounting();
   return "cpu=" + std::to_string(accounting.cpu_used) + " stolen=" +
          std::to_string(accounting.stolen_by_interrupts) + " dispatches=" +
@@ -449,7 +438,7 @@ size_t Kernel::KernelAddressSpaceStateBytes(const Process& process) const {
 // --- Admin gates ------------------------------------------------------------------------------
 
 Status Kernel::Shutdown(Process& caller) {
-  MX_ENTER_GATE(caller, "shutdown");
+  MX_ENTER_GATE(caller, GateId::kShutdown);
   if (caller.ring() > kRingSupervisor) {
     return Status::kAccessDenied;
   }
@@ -458,7 +447,7 @@ Status Kernel::Shutdown(Process& caller) {
 }
 
 Result<std::string> Kernel::MeteringInfo(Process& caller) {
-  MX_ENTER_GATE(caller, "metering_info");
+  MX_ENTER_GATE(caller, GateId::kMeteringInfo);
   const PageControlMetrics& pm = page_control_->metrics();
   std::string out = "config=" + params_.config.Name();
   out += " gates=" + std::to_string(gates_.count());
@@ -487,7 +476,7 @@ Result<MlsLabel> Kernel::CheckPassword(const std::string& person, const std::str
 Result<Process*> Kernel::LoginLegacy(Process& caller, const std::string& person,
                                      const std::string& project, const std::string& password,
                                      const MlsLabel& clearance) {
-  MX_ENTER_GATE(caller, "login");
+  MX_ENTER_GATE(caller, GateId::kLogin);
   auto max_clearance = CheckPassword(person, project, password);
   if (!max_clearance.ok()) {
     audit_.Record(machine_.clock().now(), person + "." + project, "login", kInvalidUid,
@@ -505,7 +494,7 @@ Result<Process*> Kernel::LoginLegacy(Process& caller, const std::string& person,
 }
 
 Status Kernel::Logout(Process& caller, ProcessId session) {
-  MX_ENTER_GATE(caller, "logout");
+  MX_ENTER_GATE(caller, GateId::kLogout);
   Process* victim = traffic_.Find(session);
   if (victim == nullptr) {
     return Status::kNoSuchProcess;

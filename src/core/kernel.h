@@ -18,6 +18,7 @@
 #ifndef SRC_CORE_KERNEL_H_
 #define SRC_CORE_KERNEL_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -312,9 +313,7 @@ class Kernel {
   // this configuration's kernel) and call accounting. The ring-crossing
   // charge is separate (ChargeGateCrossing) so GateSpan can land it inside
   // the gate's causal span and the crossing shows up as gate self-cycles.
-  // `gate_index` (optional) receives the gate's index in the table, for
-  // per-gate cached metering state; untouched on refusal.
-  Status EnterGate(Process& caller, const char* name, int32_t* gate_index = nullptr);
+  Status EnterGate(Process& caller, GateId gate);
   void ChargeGateCrossing(uint32_t arg_words);
 
   // Initiation tail shared by all addressing flavours.
@@ -333,8 +332,6 @@ class Kernel {
 
   LegacyNamingState& naming(const Process& process);
 
-  void RegisterGates();
-
   KernelParams params_;
   Machine machine_;
   CoreMap core_map_;
@@ -346,6 +343,10 @@ class Kernel {
   SegmentStore store_;
   Hierarchy hierarchy_;
   GateTable gates_;
+  // Per-gate "gate/<name>" distribution ids, interned on a gate's first
+  // metered call (kInvalidMeterId until then): the model checker builds
+  // tens of thousands of kernels that call a handful of gates each.
+  std::array<MeterId, kGateCount> gate_dist_ids_;
   AuditLog audit_;
   ReferenceMonitor monitor_;
   FlawRegistry flaws_;
@@ -386,11 +387,10 @@ class Kernel {
 // kGateEnter/kGateExit bracketing the gate body, nested under whatever span
 // the caller was in — attributed to the calling process at ring 0 (where
 // the gate body runs), and feeds the elapsed cycles into the meter's
-// per-gate distribution "gate/<name>". `name` must be a string literal —
-// the flight recorder keeps the pointer.
+// per-gate distribution "gate/<name>".
 class GateSpan {
  public:
-  GateSpan(Kernel* kernel, Process& caller, const char* name, uint32_t arg_words = 2);
+  GateSpan(Kernel* kernel, Process& caller, GateId gate, uint32_t arg_words = 2);
   ~GateSpan();
 
   GateSpan(const GateSpan&) = delete;
@@ -405,8 +405,7 @@ class GateSpan {
   // of its self time. Host-clock only; never touches simulated state.
   HostSpan host_span_{HostSubsystem::kGateCall};
   Kernel* kernel_;
-  const char* name_;
-  int32_t gate_index_ = -1;  // Set by EnterGate when the gate exists.
+  GateId gate_;
   Status status_;
   TraceContext* ctx_ = nullptr;  // Context the span opened on; null if none.
   Attribution saved_attribution_{};
@@ -414,9 +413,10 @@ class GateSpan {
 };
 
 // Gate-body prologue: enter the gate (returning its error on refusal) and
-// keep the RAII span alive for the rest of the enclosing scope.
-#define MX_ENTER_GATE(caller, name, ...)                                   \
-  GateSpan mx_gate_span(this, (caller), (name)__VA_OPT__(, ) __VA_ARGS__); \
+// keep the RAII span alive for the rest of the enclosing scope. `gate` is a
+// GateId, so a prologue can only name a census gate.
+#define MX_ENTER_GATE(caller, gate, ...)                                   \
+  GateSpan mx_gate_span(this, (caller), (gate)__VA_OPT__(, ) __VA_ARGS__); \
   MX_RETURN_IF_ERROR(mx_gate_span.status())
 
 }  // namespace multics

@@ -18,13 +18,13 @@ constexpr Cycles kPathComponentCycles = 120;
 // --- Segment-number interface ------------------------------------------------------
 
 Result<SegNo> Kernel::RootDir(Process& caller) {
-  MX_ENTER_GATE(caller, "get_root_dir");
+  MX_ENTER_GATE(caller, GateId::kGetRootDir);
   return InitiateKnown(caller, hierarchy_.root(), "get_root_dir");
 }
 
 Result<InitiateResult> Kernel::Initiate(Process& caller, SegNo dir_segno,
                                         const std::string& name) {
-  MX_ENTER_GATE(caller, "initiate_seg");
+  MX_ENTER_GATE(caller, GateId::kInitiateSeg);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   if (!dir_branch->is_directory) {
@@ -53,7 +53,7 @@ Result<InitiateResult> Kernel::Initiate(Process& caller, SegNo dir_segno,
 }
 
 Status Kernel::Terminate(Process& caller, SegNo segno) {
-  MX_ENTER_GATE(caller, "terminate_seg");
+  MX_ENTER_GATE(caller, GateId::kTerminateSeg);
   return ReleaseSegno(caller, segno, /*force=*/false);
 }
 
@@ -97,7 +97,7 @@ Result<Uid> Kernel::ResolvePathChecked(Process& caller, const std::string& path_
 }
 
 Result<SegNo> Kernel::InitiatePath(Process& caller, const std::string& path) {
-  MX_ENTER_GATE(caller, "initiate_path", 8);
+  MX_ENTER_GATE(caller, GateId::kInitiatePath, 8);
   MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "initiate_path"));
   MX_ASSIGN_OR_RETURN(SegNo segno, InitiateKnown(caller, uid, "initiate_path"));
   naming(caller).pathnames[segno] = path;  // The legacy KST remembers paths.
@@ -105,7 +105,7 @@ Result<SegNo> Kernel::InitiatePath(Process& caller, const std::string& path) {
 }
 
 Status Kernel::TerminatePath(Process& caller, const std::string& path) {
-  MX_ENTER_GATE(caller, "terminate_path", 8);
+  MX_ENTER_GATE(caller, GateId::kTerminatePath, 8);
   MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "terminate_path"));
   auto segno = caller.kst().SegNoOf(uid);
   if (!segno.ok()) {
@@ -115,7 +115,7 @@ Status Kernel::TerminatePath(Process& caller, const std::string& path) {
 }
 
 Result<BranchStatus> Kernel::FsStatusPath(Process& caller, const std::string& path) {
-  MX_ENTER_GATE(caller, "status_path", 8);
+  MX_ENTER_GATE(caller, GateId::kStatusPath, 8);
   MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "status_path"));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   BranchStatus status;
@@ -131,7 +131,7 @@ Result<BranchStatus> Kernel::FsStatusPath(Process& caller, const std::string& pa
 
 Result<SegNo> Kernel::CreateSegmentPath(Process& caller, const std::string& path,
                                         const SegmentAttributes& attrs) {
-  MX_ENTER_GATE(caller, "create_seg_path", 12);
+  MX_ENTER_GATE(caller, GateId::kCreateSegPath, 12);
   MX_ASSIGN_OR_RETURN(Path parsed, Path::Parse(path));
   if (parsed.IsRoot()) {
     return Status::kInvalidArgument;
@@ -154,7 +154,7 @@ Result<SegNo> Kernel::CreateSegmentPath(Process& caller, const std::string& path
 }
 
 Status Kernel::DeletePath(Process& caller, const std::string& path) {
-  MX_ENTER_GATE(caller, "delete_path", 8);
+  MX_ENTER_GATE(caller, GateId::kDeletePath, 8);
   MX_ASSIGN_OR_RETURN(Path parsed, Path::Parse(path));
   if (parsed.IsRoot()) {
     return Status::kInvalidArgument;
@@ -169,7 +169,7 @@ Status Kernel::DeletePath(Process& caller, const std::string& path) {
 }
 
 Result<std::vector<std::string>> Kernel::ListPath(Process& caller, const std::string& path) {
-  MX_ENTER_GATE(caller, "list_dir_path", 8);
+  MX_ENTER_GATE(caller, GateId::kListDirPath, 8);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolvePathChecked(caller, path, "list_dir_path"));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -185,7 +185,7 @@ Result<std::vector<std::string>> Kernel::ListPath(Process& caller, const std::st
 }
 
 Status Kernel::SetAclPath(Process& caller, const std::string& path, const AclEntry& entry) {
-  MX_ENTER_GATE(caller, "set_acl_path", 10);
+  MX_ENTER_GATE(caller, GateId::kSetAclPath, 10);
   MX_ASSIGN_OR_RETURN(Path parsed, Path::Parse(path));
   if (parsed.IsRoot()) {
     return Status::kInvalidArgument;
@@ -208,7 +208,7 @@ Status Kernel::SetAclPath(Process& caller, const std::string& path, const AclEnt
 
 Status Kernel::ChnamePath(Process& caller, const std::string& path,
                           const std::string& new_name) {
-  MX_ENTER_GATE(caller, "chname_path", 10);
+  MX_ENTER_GATE(caller, GateId::kChnamePath, 10);
   MX_ASSIGN_OR_RETURN(Path parsed, Path::Parse(path));
   if (parsed.IsRoot()) {
     return Status::kInvalidArgument;
@@ -223,7 +223,7 @@ Status Kernel::ChnamePath(Process& caller, const std::string& path,
 }
 
 Result<uint32_t> Kernel::QuotaReadPath(Process& caller, const std::string& path) {
-  MX_ENTER_GATE(caller, "quota_read_path", 8);
+  MX_ENTER_GATE(caller, GateId::kQuotaReadPath, 8);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolvePathChecked(caller, path, "quota_read_path"));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(dir_uid));
   return branch->quota_pages;
@@ -232,7 +232,7 @@ Result<uint32_t> Kernel::QuotaReadPath(Process& caller, const std::string& path)
 // --- Legacy reference names -----------------------------------------------------------
 
 Status Kernel::NameBind(Process& caller, const std::string& refname, SegNo segno) {
-  MX_ENTER_GATE(caller, "bind_ref_name", 6);
+  MX_ENTER_GATE(caller, GateId::kBindRefName, 6);
   if (refname.empty() || refname.size() > kMaxNameLength) {
     return Status::kInvalidArgument;
   }
@@ -249,7 +249,7 @@ Status Kernel::NameBind(Process& caller, const std::string& refname, SegNo segno
 }
 
 Result<SegNo> Kernel::NameLookup(Process& caller, const std::string& refname) {
-  MX_ENTER_GATE(caller, "lookup_ref_name", 6);
+  MX_ENTER_GATE(caller, GateId::kLookupRefName, 6);
   LegacyNamingState& state = naming(caller);
   auto it = state.reference_names.find(refname);
   if (it == state.reference_names.end()) {
@@ -260,14 +260,14 @@ Result<SegNo> Kernel::NameLookup(Process& caller, const std::string& refname) {
 }
 
 Status Kernel::NameUnbind(Process& caller, const std::string& refname) {
-  MX_ENTER_GATE(caller, "unbind_ref_name", 6);
+  MX_ENTER_GATE(caller, GateId::kUnbindRefName, 6);
   ++address_space_ops_;
   return naming(caller).reference_names.erase(refname) > 0 ? Status::kOk
                                                            : Status::kNoSuchReferenceName;
 }
 
 Result<std::vector<std::string>> Kernel::NameList(Process& caller) {
-  MX_ENTER_GATE(caller, "list_ref_names");
+  MX_ENTER_GATE(caller, GateId::kListRefNames);
   std::vector<std::string> names;
   for (const auto& [name, segno] : naming(caller).reference_names) {
     names.push_back(name);
@@ -276,7 +276,7 @@ Result<std::vector<std::string>> Kernel::NameList(Process& caller) {
 }
 
 Status Kernel::SetSearchRules(Process& caller, const std::vector<std::string>& rules) {
-  MX_ENTER_GATE(caller, "set_search_rules", 16);
+  MX_ENTER_GATE(caller, GateId::kSetSearchRules, 16);
   for (const std::string& rule : rules) {
     if (!Path::Parse(rule).ok()) {
       return Status::kInvalidArgument;
@@ -287,12 +287,12 @@ Status Kernel::SetSearchRules(Process& caller, const std::vector<std::string>& r
 }
 
 Result<std::vector<std::string>> Kernel::GetSearchRules(Process& caller) {
-  MX_ENTER_GATE(caller, "get_search_rules");
+  MX_ENTER_GATE(caller, GateId::kGetSearchRules);
   return naming(caller).search_rules;
 }
 
 Result<SegNo> Kernel::SearchInitiate(Process& caller, const std::string& refname) {
-  MX_ENTER_GATE(caller, "search_initiate", 8);
+  MX_ENTER_GATE(caller, GateId::kSearchInitiate, 8);
   return SearchInitiateInternal(caller, refname);
 }
 
@@ -318,7 +318,7 @@ Result<SegNo> Kernel::SearchInitiateInternal(Process& caller, const std::string&
 }
 
 Result<std::string> Kernel::PathnameOf(Process& caller, SegNo segno) {
-  MX_ENTER_GATE(caller, "get_pathname", 4);
+  MX_ENTER_GATE(caller, GateId::kGetPathname, 4);
   LegacyNamingState& state = naming(caller);
   if (auto it = state.pathnames.find(segno); it != state.pathnames.end()) {
     return it->second;
@@ -334,7 +334,7 @@ Result<std::string> Kernel::PathnameOf(Process& caller, SegNo segno) {
 
 Result<std::pair<SegNo, uint32_t>> Kernel::InitiateCountPath(Process& caller,
                                                              const std::string& path) {
-  MX_ENTER_GATE(caller, "initiate_count_path", 10);
+  MX_ENTER_GATE(caller, GateId::kInitiateCountPath, 10);
   MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "initiate_count_path"));
   MX_ASSIGN_OR_RETURN(SegNo segno, InitiateKnown(caller, uid, "initiate_count_path"));
   naming(caller).pathnames[segno] = path;
@@ -342,7 +342,7 @@ Result<std::pair<SegNo, uint32_t>> Kernel::InitiateCountPath(Process& caller,
 }
 
 Status Kernel::TerminateFilePath(Process& caller, const std::string& path) {
-  MX_ENTER_GATE(caller, "terminate_file_path", 8);
+  MX_ENTER_GATE(caller, GateId::kTerminateFilePath, 8);
   MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "terminate_file_path"));
   auto segno = caller.kst().SegNoOf(uid);
   if (!segno.ok()) {
@@ -353,7 +353,7 @@ Status Kernel::TerminateFilePath(Process& caller, const std::string& path) {
 }
 
 Status Kernel::TerminateRefName(Process& caller, const std::string& refname) {
-  MX_ENTER_GATE(caller, "terminate_ref_name", 6);
+  MX_ENTER_GATE(caller, GateId::kTerminateRefName, 6);
   LegacyNamingState& state = naming(caller);
   auto it = state.reference_names.find(refname);
   if (it == state.reference_names.end()) {
@@ -371,13 +371,13 @@ Status Kernel::TerminateRefName(Process& caller, const std::string& refname) {
 }
 
 Result<std::string> Kernel::ExpandPathname(Process& caller, const std::string& path) {
-  MX_ENTER_GATE(caller, "expand_pathname", 8);
+  MX_ENTER_GATE(caller, GateId::kExpandPathname, 8);
   MX_ASSIGN_OR_RETURN(Path parsed, Path::Parse(path));
   return parsed.ToString();
 }
 
 Result<std::vector<std::pair<SegNo, Uid>>> Kernel::KstStatus(Process& caller) {
-  MX_ENTER_GATE(caller, "kst_status", 2);
+  MX_ENTER_GATE(caller, GateId::kKstStatus, 2);
   std::vector<std::pair<SegNo, Uid>> out;
   caller.kst().ForEach([&](SegNo segno, Uid uid) { out.emplace_back(segno, uid); });
   return out;

@@ -20,7 +20,7 @@ struct EntryRef {
 
 Result<Uid> Kernel::FsCreateSegment(Process& caller, SegNo dir_segno, const std::string& name,
                                     const SegmentAttributes& attrs) {
-  MX_ENTER_GATE(caller, "fs_create_seg", 12);
+  MX_ENTER_GATE(caller, GateId::kFsCreateSeg, 12);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -44,7 +44,7 @@ Result<Uid> Kernel::FsCreateSegment(Process& caller, SegNo dir_segno, const std:
 
 Result<Uid> Kernel::FsCreateDirectory(Process& caller, SegNo dir_segno, const std::string& name,
                                       const SegmentAttributes& attrs, uint32_t quota_pages) {
-  MX_ENTER_GATE(caller, "fs_create_dir", 12);
+  MX_ENTER_GATE(caller, GateId::kFsCreateDir, 12);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -60,7 +60,7 @@ Result<Uid> Kernel::FsCreateDirectory(Process& caller, SegNo dir_segno, const st
 
 Status Kernel::FsCreateLink(Process& caller, SegNo dir_segno, const std::string& name,
                             const std::string& target) {
-  MX_ENTER_GATE(caller, "fs_create_link", 10);
+  MX_ENTER_GATE(caller, GateId::kFsCreateLink, 10);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -70,7 +70,7 @@ Status Kernel::FsCreateLink(Process& caller, SegNo dir_segno, const std::string&
 }
 
 Status Kernel::FsDelete(Process& caller, SegNo dir_segno, const std::string& name) {
-  MX_ENTER_GATE(caller, "fs_delete_entry", 8);
+  MX_ENTER_GATE(caller, GateId::kFsDeleteEntry, 8);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -81,7 +81,7 @@ Status Kernel::FsDelete(Process& caller, SegNo dir_segno, const std::string& nam
 
 Status Kernel::FsRename(Process& caller, SegNo dir_segno, const std::string& from,
                         const std::string& to) {
-  MX_ENTER_GATE(caller, "fs_rename", 10);
+  MX_ENTER_GATE(caller, GateId::kFsRename, 10);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -92,7 +92,7 @@ Status Kernel::FsRename(Process& caller, SegNo dir_segno, const std::string& fro
 
 Status Kernel::FsAddName(Process& caller, SegNo dir_segno, const std::string& existing,
                          const std::string& additional) {
-  MX_ENTER_GATE(caller, "fs_add_name", 10);
+  MX_ENTER_GATE(caller, GateId::kFsAddName, 10);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -102,7 +102,7 @@ Status Kernel::FsAddName(Process& caller, SegNo dir_segno, const std::string& ex
 }
 
 Result<std::vector<std::string>> Kernel::FsList(Process& caller, SegNo dir_segno) {
-  MX_ENTER_GATE(caller, "fs_list_dir", 4);
+  MX_ENTER_GATE(caller, GateId::kFsListDir, 4);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -119,7 +119,7 @@ Result<std::vector<std::string>> Kernel::FsList(Process& caller, SegNo dir_segno
 
 Result<BranchStatus> Kernel::FsStatus(Process& caller, SegNo dir_segno,
                                       const std::string& name) {
-  MX_ENTER_GATE(caller, "fs_status_seg", 8);
+  MX_ENTER_GATE(caller, GateId::kFsStatusSeg, 8);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -174,7 +174,7 @@ Result<Uid> TargetForAclOp(Kernel& kernel, Process& caller, SegNo dir_segno,
 
 Status Kernel::FsSetAcl(Process& caller, SegNo dir_segno, const std::string& name,
                         const AclEntry& entry) {
-  MX_ENTER_GATE(caller, "fs_set_acl", 12);
+  MX_ENTER_GATE(caller, GateId::kFsSetAcl, 12);
   MX_ASSIGN_OR_RETURN(Uid uid, TargetForAclOp(*this, caller, dir_segno, name, "fs_set_acl"));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   branch->acl.Set(entry);
@@ -185,7 +185,7 @@ Status Kernel::FsSetAcl(Process& caller, SegNo dir_segno, const std::string& nam
 Status Kernel::FsRemoveAclEntry(Process& caller, SegNo dir_segno, const std::string& name,
                                 const std::string& person, const std::string& project,
                                 const std::string& tag) {
-  MX_ENTER_GATE(caller, "fs_remove_acl_entry", 12);
+  MX_ENTER_GATE(caller, GateId::kFsRemoveAclEntry, 12);
   MX_ASSIGN_OR_RETURN(Uid uid,
                       TargetForAclOp(*this, caller, dir_segno, name, "fs_remove_acl_entry"));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
@@ -196,7 +196,7 @@ Status Kernel::FsRemoveAclEntry(Process& caller, SegNo dir_segno, const std::str
 
 Result<std::vector<std::string>> Kernel::FsListAcl(Process& caller, SegNo dir_segno,
                                                    const std::string& name) {
-  MX_ENTER_GATE(caller, "fs_list_acl", 8);
+  MX_ENTER_GATE(caller, GateId::kFsListAcl, 8);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -219,7 +219,7 @@ Result<std::vector<std::string>> Kernel::FsListAcl(Process& caller, SegNo dir_se
 Status Kernel::FsSetRingBrackets(Process& caller, SegNo dir_segno, const std::string& name,
                                  const RingBrackets& brackets, bool gate,
                                  uint32_t gate_entries) {
-  MX_ENTER_GATE(caller, "fs_set_ring_brackets", 12);
+  MX_ENTER_GATE(caller, GateId::kFsSetRingBrackets, 12);
   if (!brackets.Valid()) {
     return Status::kInvalidArgument;
   }
@@ -242,7 +242,7 @@ Status Kernel::FsSetRingBrackets(Process& caller, SegNo dir_segno, const std::st
 
 Status Kernel::FsSetMaxLength(Process& caller, SegNo dir_segno, const std::string& name,
                               uint32_t max_pages) {
-  MX_ENTER_GATE(caller, "fs_set_max_length", 10);
+  MX_ENTER_GATE(caller, GateId::kFsSetMaxLength, 10);
   MX_ASSIGN_OR_RETURN(Uid uid,
                       TargetForAclOp(*this, caller, dir_segno, name, "fs_set_max_length"));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
@@ -254,7 +254,7 @@ Status Kernel::FsSetMaxLength(Process& caller, SegNo dir_segno, const std::strin
 }
 
 Status Kernel::FsSetQuota(Process& caller, SegNo dir_segno, uint32_t quota_pages) {
-  MX_ENTER_GATE(caller, "fs_set_quota", 6);
+  MX_ENTER_GATE(caller, GateId::kFsSetQuota, 6);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
@@ -268,7 +268,7 @@ Status Kernel::FsSetQuota(Process& caller, SegNo dir_segno, uint32_t quota_pages
 }
 
 Result<uint32_t> Kernel::FsGetQuota(Process& caller, SegNo dir_segno) {
-  MX_ENTER_GATE(caller, "fs_get_quota", 4);
+  MX_ENTER_GATE(caller, GateId::kFsGetQuota, 4);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(dir_uid));
   return branch->quota_pages;
@@ -277,7 +277,7 @@ Result<uint32_t> Kernel::FsGetQuota(Process& caller, SegNo dir_segno) {
 // --- Segment gates -------------------------------------------------------------------
 
 Result<uint32_t> Kernel::SegGetLength(Process& caller, SegNo segno) {
-  MX_ENTER_GATE(caller, "seg_get_length", 4);
+  MX_ENTER_GATE(caller, GateId::kSegGetLength, 4);
   MX_ASSIGN_OR_RETURN(Uid uid, ResolveDirSegno(caller, segno));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   if (ActiveSegment* seg = ast_.Find(uid); seg != nullptr) {
@@ -289,7 +289,7 @@ Result<uint32_t> Kernel::SegGetLength(Process& caller, SegNo segno) {
 Status Kernel::SegSetLength(Process& caller, SegNo segno, uint32_t pages) {
   // seg_set_length and seg_truncate share one implementation behind two
   // gates, as the real supervisor did.
-  const char* gate = "seg_set_length";
+  GateId gate = GateId::kSegSetLength;
   {
     auto uid = caller.kst().UidOf(segno);
     if (uid.ok()) {
@@ -297,7 +297,7 @@ Status Kernel::SegSetLength(Process& caller, SegNo segno, uint32_t pages) {
       uint32_t current =
           ast_.Find(uid.value()) != nullptr ? ast_.Find(uid.value())->pages : branch->pages;
       if (pages < current) {
-        gate = "seg_truncate";
+        gate = GateId::kSegTruncate;
       }
     }
   }
@@ -306,7 +306,8 @@ Status Kernel::SegSetLength(Process& caller, SegNo segno, uint32_t pages) {
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   // Changing the length modifies the segment: write access required.
   MX_RETURN_IF_ERROR(monitor_.RequireSegment(*branch, caller.principal(), caller.clearance(),
-                                             kModeWrite, gate, machine_.clock().now(), Trusted(caller)));
+                                             kModeWrite, GateName(gate).c_str(),
+                                             machine_.clock().now(), Trusted(caller)));
   MX_RETURN_IF_ERROR(store_.SetLength(uid, pages));
   // Refresh this process's SDW bound (others refresh on segment fault).
   return ConnectSdw(caller, segno, uid);

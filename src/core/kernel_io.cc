@@ -15,7 +15,7 @@ namespace multics {
 // --- IPC gates ----------------------------------------------------------------------
 
 Result<ChannelId> Kernel::IpcCreateChannel(Process& caller, SegNo guard_segno) {
-  MX_ENTER_GATE(caller, "ipc_create_channel", 4);
+  MX_ENTER_GATE(caller, GateId::kIpcCreateChannel, 4);
   MX_ASSIGN_OR_RETURN(Uid guard_uid, ResolveDirSegno(caller, guard_segno));
   MX_ASSIGN_OR_RETURN(Branch * guard, store_.Get(guard_uid));
   // Creating a channel on a guard requires write access to the guard.
@@ -26,7 +26,7 @@ Result<ChannelId> Kernel::IpcCreateChannel(Process& caller, SegNo guard_segno) {
 }
 
 Status Kernel::IpcDestroyChannel(Process& caller, ChannelId channel) {
-  MX_ENTER_GATE(caller, "ipc_destroy_channel", 4);
+  MX_ENTER_GATE(caller, GateId::kIpcDestroyChannel, 4);
   auto owner = traffic_.channels().OwnerOf(channel);
   if (!owner.ok()) {
     return owner.status();
@@ -38,7 +38,7 @@ Status Kernel::IpcDestroyChannel(Process& caller, ChannelId channel) {
 }
 
 Status Kernel::IpcWakeup(Process& caller, ChannelId channel, uint64_t data) {
-  MX_ENTER_GATE(caller, "ipc_wakeup", 4);
+  MX_ENTER_GATE(caller, GateId::kIpcWakeup, 4);
   auto guard_uid = traffic_.channels().GuardOf(channel);
   if (!guard_uid.ok()) {
     return guard_uid.status();
@@ -53,7 +53,7 @@ Status Kernel::IpcWakeup(Process& caller, ChannelId channel, uint64_t data) {
 }
 
 Result<bool> Kernel::IpcAwait(Process& caller, TaskContext& ctx, ChannelId channel) {
-  MX_ENTER_GATE(caller, "ipc_block", 4);
+  MX_ENTER_GATE(caller, GateId::kIpcBlock, 4);
   auto guard_uid = traffic_.channels().GuardOf(channel);
   if (!guard_uid.ok()) {
     return guard_uid.status();
@@ -67,7 +67,7 @@ Result<bool> Kernel::IpcAwait(Process& caller, TaskContext& ctx, ChannelId chann
 }
 
 Result<uint64_t> Kernel::IpcChannelStatus(Process& caller, ChannelId channel) {
-  MX_ENTER_GATE(caller, "ipc_channel_status", 2);
+  MX_ENTER_GATE(caller, GateId::kIpcChannelStatus, 2);
   auto guard_uid = traffic_.channels().GuardOf(channel);
   if (!guard_uid.ok()) {
     return guard_uid.status();
@@ -84,7 +84,7 @@ Result<uint64_t> Kernel::IpcChannelStatus(Process& caller, ChannelId channel) {
 // --- Device I/O gates (legacy) ----------------------------------------------------------
 
 Result<std::string> Kernel::TtyRead(Process& caller, uint32_t line) {
-  MX_ENTER_GATE(caller, "tty_read", 4);
+  MX_ENTER_GATE(caller, GateId::kTtyRead, 4);
   if (line >= ttys_.size()) {
     return Status::kDeviceError;
   }
@@ -92,7 +92,7 @@ Result<std::string> Kernel::TtyRead(Process& caller, uint32_t line) {
 }
 
 Status Kernel::TtyWrite(Process& caller, uint32_t line, const std::string& text) {
-  MX_ENTER_GATE(caller, "tty_write", 8);
+  MX_ENTER_GATE(caller, GateId::kTtyWrite, 8);
   if (line >= ttys_.size()) {
     return Status::kDeviceError;
   }
@@ -100,7 +100,7 @@ Status Kernel::TtyWrite(Process& caller, uint32_t line, const std::string& text)
 }
 
 Result<std::string> Kernel::CardRead(Process& caller) {
-  MX_ENTER_GATE(caller, "card_read", 2);
+  MX_ENTER_GATE(caller, GateId::kCardRead, 2);
   if (card_reader_ == nullptr) {
     return Status::kDeviceError;
   }
@@ -108,7 +108,7 @@ Result<std::string> Kernel::CardRead(Process& caller) {
 }
 
 Status Kernel::PrinterWrite(Process& caller, const std::string& line) {
-  MX_ENTER_GATE(caller, "printer_write", 8);
+  MX_ENTER_GATE(caller, GateId::kPrinterWrite, 8);
   if (printer_ == nullptr) {
     return Status::kDeviceError;
   }
@@ -116,7 +116,7 @@ Status Kernel::PrinterWrite(Process& caller, const std::string& line) {
 }
 
 Status Kernel::PrinterEject(Process& caller) {
-  MX_ENTER_GATE(caller, "printer_eject", 2);
+  MX_ENTER_GATE(caller, GateId::kPrinterEject, 2);
   if (printer_ == nullptr) {
     return Status::kDeviceError;
   }
@@ -124,7 +124,7 @@ Status Kernel::PrinterEject(Process& caller) {
 }
 
 Result<std::string> Kernel::TapeRead(Process& caller) {
-  MX_ENTER_GATE(caller, "tape_read", 2);
+  MX_ENTER_GATE(caller, GateId::kTapeRead, 2);
   if (tape_ == nullptr) {
     return Status::kDeviceError;
   }
@@ -132,7 +132,7 @@ Result<std::string> Kernel::TapeRead(Process& caller) {
 }
 
 Status Kernel::TapeWrite(Process& caller, const std::string& record) {
-  MX_ENTER_GATE(caller, "tape_write", 8);
+  MX_ENTER_GATE(caller, GateId::kTapeWrite, 8);
   if (tape_ == nullptr) {
     return Status::kDeviceError;
   }
@@ -140,7 +140,7 @@ Status Kernel::TapeWrite(Process& caller, const std::string& record) {
 }
 
 Status Kernel::TapeRewind(Process& caller) {
-  MX_ENTER_GATE(caller, "tape_rewind", 2);
+  MX_ENTER_GATE(caller, GateId::kTapeRewind, 2);
   if (tape_ == nullptr) {
     return Status::kDeviceError;
   }
@@ -148,7 +148,7 @@ Status Kernel::TapeRewind(Process& caller) {
 }
 
 Status Kernel::TapeSkip(Process& caller, uint32_t records) {
-  MX_ENTER_GATE(caller, "tape_skip", 2);
+  MX_ENTER_GATE(caller, GateId::kTapeSkip, 2);
   if (tape_ == nullptr) {
     return Status::kDeviceError;
   }
@@ -158,7 +158,7 @@ Status Kernel::TapeSkip(Process& caller, uint32_t records) {
 // --- Network gates -----------------------------------------------------------------------
 
 Result<ConnId> Kernel::NetOpen(Process& caller, const std::string& remote) {
-  MX_ENTER_GATE(caller, "net_open", 6);
+  MX_ENTER_GATE(caller, GateId::kNetOpen, 6);
   std::unique_ptr<InputBuffer> buffer;
   if (params_.config.infinite_net_buffers) {
     // The VM-backed infinite buffer: backing store grows page-by-page
@@ -192,17 +192,17 @@ Result<ConnId> Kernel::NetOpen(Process& caller, const std::string& remote) {
 }
 
 Status Kernel::NetClose(Process& caller, ConnId conn) {
-  MX_ENTER_GATE(caller, "net_close", 2);
+  MX_ENTER_GATE(caller, GateId::kNetClose, 2);
   return network_.Close(conn);
 }
 
 Status Kernel::NetWrite(Process& caller, ConnId conn, const std::string& data) {
-  MX_ENTER_GATE(caller, "net_write", 8);
+  MX_ENTER_GATE(caller, GateId::kNetWrite, 8);
   return network_.Send(conn, data);
 }
 
 Result<std::string> Kernel::NetRead(Process& caller, ConnId conn) {
-  MX_ENTER_GATE(caller, "net_read", 4);
+  MX_ENTER_GATE(caller, GateId::kNetRead, 4);
   auto message = network_.Receive(conn);
   if (!message.ok()) {
     return message.status();
@@ -211,7 +211,7 @@ Result<std::string> Kernel::NetRead(Process& caller, ConnId conn) {
 }
 
 Result<uint64_t> Kernel::NetStatus(Process& caller, ConnId conn) {
-  MX_ENTER_GATE(caller, "net_status", 2);
+  MX_ENTER_GATE(caller, GateId::kNetStatus, 2);
   MX_ASSIGN_OR_RETURN(const InputBuffer* buffer, network_.BufferOf(conn));
   return static_cast<uint64_t>(buffer->queued());
 }

@@ -53,7 +53,7 @@ constexpr Cycles kLinkerCycles = 400;
 }  // namespace
 
 Result<uint32_t> Kernel::LinkSnapAll(Process& caller, SegNo object) {
-  MX_ENTER_GATE(caller, "link_snap_all", 4);
+  MX_ENTER_GATE(caller, GateId::kLinkSnapAll, 4);
   machine_.Charge(kLinkerCycles, "kernel_linker");
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, /*validate_input=*/false);
@@ -69,7 +69,7 @@ Result<uint32_t> Kernel::LinkSnapAll(Process& caller, SegNo object) {
 
 Result<std::pair<SegNo, WordOffset>> Kernel::LinkSnapOne(Process& caller, SegNo object,
                                                          uint32_t index) {
-  MX_ENTER_GATE(caller, "link_snap_one", 6);
+  MX_ENTER_GATE(caller, GateId::kLinkSnapOne, 6);
   machine_.Charge(kLinkerCycles, "kernel_linker");
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, false);
@@ -80,7 +80,7 @@ Result<std::pair<SegNo, WordOffset>> Kernel::LinkSnapOne(Process& caller, SegNo 
 
 Result<WordOffset> Kernel::LinkLookupSymbol(Process& caller, SegNo object,
                                             const std::string& symbol) {
-  MX_ENTER_GATE(caller, "link_lookup_symbol", 6);
+  MX_ENTER_GATE(caller, GateId::kLinkLookupSymbol, 6);
   machine_.Charge(kLinkerCycles / 2, "kernel_linker");
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, false);
@@ -90,7 +90,7 @@ Result<WordOffset> Kernel::LinkLookupSymbol(Process& caller, SegNo object,
 }
 
 Result<uint32_t> Kernel::LinkGetEntryBound(Process& caller, SegNo object) {
-  MX_ENTER_GATE(caller, "link_get_entry_bound", 4);
+  MX_ENTER_GATE(caller, GateId::kLinkGetEntryBound, 4);
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, false);
   auto header = linker.Header(object);
@@ -102,7 +102,7 @@ Result<uint32_t> Kernel::LinkGetEntryBound(Process& caller, SegNo object) {
 }
 
 Result<std::vector<std::string>> Kernel::LinkGetDefs(Process& caller, SegNo object) {
-  MX_ENTER_GATE(caller, "link_get_defs", 4);
+  MX_ENTER_GATE(caller, GateId::kLinkGetDefs, 4);
   machine_.Charge(kLinkerCycles / 2, "kernel_linker");
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, false);
@@ -126,7 +126,7 @@ Result<std::vector<std::string>> Kernel::LinkGetDefs(Process& caller, SegNo obje
 }
 
 Status Kernel::LinkUnsnap(Process& caller, SegNo object) {
-  MX_ENTER_GATE(caller, "link_unsnap", 4);
+  MX_ENTER_GATE(caller, GateId::kLinkUnsnap, 4);
   machine_.Charge(kLinkerCycles / 2, "kernel_linker");
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, false);
@@ -147,7 +147,7 @@ Status Kernel::LinkUnsnap(Process& caller, SegNo object) {
 }
 
 Result<uint32_t> Kernel::CombineLinkage(Process& caller, const std::vector<SegNo>& objects) {
-  MX_ENTER_GATE(caller, "combine_linkage", 8);
+  MX_ENTER_GATE(caller, GateId::kCombineLinkage, 8);
   uint32_t snapped = 0;
   for (SegNo object : objects) {
     machine_.Charge(kLinkerCycles, "kernel_linker");
@@ -164,7 +164,7 @@ Result<uint32_t> Kernel::CombineLinkage(Process& caller, const std::vector<SegNo
 }
 
 Status Kernel::SetLinkagePtr(Process& caller, SegNo object, WordOffset lp) {
-  MX_ENTER_GATE(caller, "set_linkage_ptr", 4);
+  MX_ENTER_GATE(caller, GateId::kSetLinkagePtr, 4);
   if (!caller.kst().UidOf(object).ok()) {
     return Status::kSegmentNotKnown;
   }

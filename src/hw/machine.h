@@ -144,7 +144,7 @@ class Machine {
   // categories feed the experiment harnesses (e.g. "ring_crossing",
   // "page_io", "fault_path"). On a 1-CPU machine this is exactly the
   // uniprocessor `clock().Advance(n)`.
-  void Charge(Cycles n, const char* category) {
+  void Charge(Cycles n, StaticName category) {
     if (cpu_count_ == 1) {
       clock_.Advance(n);
     } else {

@@ -11,7 +11,7 @@ PageControlBase::PageControlBase(Machine* machine, CoreMap* core_map, PagingDevi
                                  PagingDevice* disk, ReplacementPolicy* policy)
     : machine_(machine), core_map_(core_map), bulk_(bulk), disk_(disk), policy_(policy) {}
 
-void PageControlBase::ChargeStep(const char* category, Cycles cycles) {
+void PageControlBase::ChargeStep(StaticName category, Cycles cycles) {
   machine_->Charge(cycles, category);
 }
 

@@ -46,7 +46,7 @@ class PageControlBase : public PageControl {
   bool PopBulkResident(ActiveSegment** seg, PageNo* page);
 
   // Charges CPU time for a protected page-control step.
-  void ChargeStep(const char* category, Cycles cycles = 40);
+  void ChargeStep(StaticName category, Cycles cycles = 40);
 
   // Synchronous transfers with the page-table lock suspended for the wait:
   // on the multiprocessor another CPU may enter page control while this one

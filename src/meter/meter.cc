@@ -45,46 +45,16 @@ MeterId Meter::InternDistribution(std::string_view name) {
   return id;
 }
 
-void Meter::Count(std::string_view name, uint64_t delta) {
+void Meter::Emit(TraceEventKind kind, StaticName name, uint64_t arg) {
   MX_HOST_SPAN(kMeterRecord);
   if (!enabled_) {
     return;
   }
-  Count(InternCounter(name), delta);
-}
-
-void Meter::AddSample(std::string_view name, double sample) {
-  MX_HOST_SPAN(kMeterRecord);
-  if (!enabled_) {
-    return;
-  }
-  AddSample(InternDistribution(name), sample);
-}
-
-void Meter::CheckName(const char* name) {
-  if (!name_check_) {
-    // While checking is off, every pointer that flows through is presumed
-    // static and remembered, so a later checked phase doesn't flag the
-    // program's pre-existing literals.
-    known_names_.insert(name);
-    return;
-  }
-  if (known_names_.find(name) == known_names_.end()) {
-    ++name_contract_violations_;
-  }
-}
-
-void Meter::Emit(TraceEventKind kind, const char* name, uint64_t arg) {
-  MX_HOST_SPAN(kMeterRecord);
-  if (!enabled_) {
-    return;
-  }
-  CheckName(name);
   ++kind_totals_[static_cast<size_t>(kind)];
   const auto& stack = context_->stack;
   const uint64_t enclosing = stack.empty() ? 0 : stack.back().id;
-  recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(stack.size()), name, arg,
-                            attribution_.pid, enclosing, 0, cpu_});
+  recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(stack.size()),
+                            name.c_str(), arg, attribution_.pid, enclosing, 0, cpu_});
 }
 
 uint32_t Meter::InternPath(uint32_t parent, const char* name) {
@@ -104,21 +74,20 @@ uint32_t Meter::InternPath(uint32_t parent, const char* name) {
   return id;
 }
 
-TraceContext* Meter::OpenSpan(const char* name, TraceEventKind kind, uint64_t arg) {
+TraceContext* Meter::OpenSpan(StaticName name, TraceEventKind kind, uint64_t arg) {
   MX_HOST_SPAN(kMeterRecord);
   if (!enabled_) {
     return nullptr;
   }
-  CheckName(name);
   TraceContext* ctx = context_;
   const uint64_t parent = ctx->stack.empty() ? 0 : ctx->stack.back().id;
   const uint32_t parent_path = ctx->stack.empty() ? 0 : ctx->stack.back().path_id;
   const uint64_t id = next_span_id_++;
-  ctx->stack.push_back(SpanFrame{id, parent, name, clock_->now(), 0, attribution_.pid,
-                                 attribution_.ring, InternPath(parent_path, name)});
+  ctx->stack.push_back(SpanFrame{id, parent, name.c_str(), clock_->now(), 0, attribution_.pid,
+                                 attribution_.ring, InternPath(parent_path, name.c_str())});
   ++kind_totals_[static_cast<size_t>(kind)];
-  recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(ctx->stack.size()), name,
-                            arg, attribution_.pid, id, parent, cpu_});
+  recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(ctx->stack.size()),
+                            name.c_str(), arg, attribution_.pid, id, parent, cpu_});
   return ctx;
 }
 
@@ -279,10 +248,9 @@ void Meter::Clear() {
   profile_view_valid_ = true;
   root_context_.stack.clear();
   next_span_id_ = 1;
-  name_contract_violations_ = 0;
 }
 
-TraceSpan::TraceSpan(Meter* meter, const char* name, uint64_t arg)
+TraceSpan::TraceSpan(Meter* meter, StaticName name, uint64_t arg)
     : meter_(meter != nullptr && meter->enabled() ? meter : nullptr), name_(name) {
   if (meter_ == nullptr) {
     return;

@@ -28,10 +28,10 @@
 // Hot-path layout (ROADMAP item 3): names intern to dense MeterIds at first
 // registration — a name-sorted index maps name -> id, values live in flat
 // id-indexed cells — so recording through an id is an array add with no map
-// walk and no string construction. Callers with a per-object name (each
-// SimLock, each gate) intern once and record by id forever after; the
-// string-keyed Count/AddSample stay for cold and dynamic names. The profile
-// interns call paths the same way: each SpanFrame carries the id of its
+// walk and no string construction. A name is either a StaticName (a
+// literal, whose id is cached by pointer) or a dynamic per-object name (each
+// SimLock, each gate), interned once and recorded by id forever after. The
+// profile interns call paths the same way: each SpanFrame carries the id of its
 // path (parent path + name pointer), so a span close is a hash probe and
 // three adds instead of rebuilding a ';'-joined string. Everything exported
 // still reads from the name-sorted index, so output stays byte-identical
@@ -53,7 +53,6 @@
 #include <string_view>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -97,36 +96,33 @@ class Meter {
   Cycles now() const { return clock_->now(); }
 
   // --- Recording (all no-ops while disabled) -------------------------------
-  void Count(std::string_view name, uint64_t delta = 1);
-  void AddSample(std::string_view name, double sample);
-
-  // Static-name fast paths: the pointer (a literal or other static storage —
-  // same lifetime contract as Emit) caches its interned id, so the steady
-  // state is an array add with no name search. A cold pointer falls back to
-  // interning by contents, so a miss is only slow, never wrong.
-  void Count(const char* name, uint64_t delta = 1) {
+  // Static-name paths: the name's pointer caches its interned id, so the
+  // steady state is an array add with no name search. A cold pointer falls
+  // back to interning by contents, so a miss is only slow, never wrong.
+  void Count(StaticName name, uint64_t delta = 1) {
     if (!enabled_) {
       return;
     }
     uint32_t id = counter_ptr_cache_.Lookup(name);
     if (id == StaticNameCache::kMiss) {
-      id = InternCounter(name);
+      id = InternCounter(name.c_str());
       counter_ptr_cache_.Insert(name, id);
     }
     CounterCell& cell = counter_cells_[id];
     cell.value += delta;
     cell.touched = true;
   }
-  void AddSample(const char* name, double sample) {
+  void AddSample(StaticName name, double sample) {
     if (!enabled_) {
       return;
     }
     dist_cells_[DistIdForStatic(name)]->Add(sample);
   }
 
-  // Interned fast paths. Interning registers the name (idempotent, allowed
-  // any time, even while disabled — a registered-but-never-recorded name is
-  // invisible to every export); recording by id is an array add.
+  // Interned paths, for dynamic names. Interning registers the name
+  // (idempotent, allowed any time, even while disabled — a
+  // registered-but-never-recorded name is invisible to every export);
+  // recording by id is an array add.
   MeterId InternCounter(std::string_view name);
   MeterId InternDistribution(std::string_view name);
   void Count(MeterId id, uint64_t delta = 1) {
@@ -143,23 +139,20 @@ class Meter {
     }
     dist_cells_[id]->Add(sample);
   }
-  // Interned-id lookup for a static-storage distribution name (the pointer
-  // is cached — same lifetime contract as Emit). Lets TraceSpan record by id
-  // without each call site holding a MeterId.
-  MeterId DistIdForStatic(const char* name) {
+  // Interned-id lookup for a static distribution name (the pointer is
+  // cached). Lets TraceSpan record by id without each call site holding a
+  // MeterId.
+  MeterId DistIdForStatic(StaticName name) {
     uint32_t id = dist_ptr_cache_.Lookup(name);
     if (id == StaticNameCache::kMiss) {
-      id = InternDistribution(name);
+      id = InternDistribution(name.c_str());
       dist_ptr_cache_.Insert(name, id);
     }
     return id;
   }
 
-  // `name` must outlive the recorder (a literal or other static storage);
-  // the recorder keeps the pointer, not a copy. With name checking on
-  // (set_name_check), pointers not registered via RegisterStaticName and not
-  // seen before the first Emit are counted in name_contract_violations().
-  void Emit(TraceEventKind kind, const char* name, uint64_t arg = 0);
+  // The recorder keeps `name`'s pointer, not a copy.
+  void Emit(TraceEventKind kind, StaticName name, uint64_t arg = 0);
 
   // --- Causal spans --------------------------------------------------------
   // Opens a span on the current context: pushes a frame capturing the
@@ -167,7 +160,7 @@ class Meter {
   // context the frame was pushed on — pass it back to CloseSpan so the close
   // lands on the right stack even if the current context changed in between.
   // Returns null while disabled (CloseSpan(null) is a no-op).
-  TraceContext* OpenSpan(const char* name, TraceEventKind kind, uint64_t arg = 0);
+  TraceContext* OpenSpan(StaticName name, TraceEventKind kind, uint64_t arg = 0);
   // Closes the top span of `ctx`: emits `kind` with arg = elapsed cycles,
   // charges the elapsed total to the parent frame's child_cycles, and folds
   // {count, self, total} into the attribution profile. Returns elapsed.
@@ -224,15 +217,6 @@ class Meter {
   // Open-span depth of the *current* context (1 = one span open).
   uint32_t span_depth() const { return static_cast<uint32_t>(context_->stack.size()); }
 
-  // --- Name lifetime checking (debug aid, off by default) ------------------
-  // The recorder stores `const char*` names by pointer. When checking is on,
-  // Emit/OpenSpan count any name pointer that was not registered static and
-  // was not among the pointers seen while checking was off. Deterministic
-  // (pure pointer-set membership), so tests can assert on the count.
-  void set_name_check(bool on) { name_check_ = on; }
-  void RegisterStaticName(const char* name) { known_names_.insert(name); }
-  uint64_t name_contract_violations() const { return name_contract_violations_; }
-
   // Drops all recorded data (events, counters, profile, span ids); keeps the
   // enabled flag, interned names (ids stay valid), context registrations,
   // and process labels. Must not be called while any span is open — open
@@ -285,7 +269,6 @@ class Meter {
     ProfileEntry entry;
   };
 
-  void CheckName(const char* name);
   // Interns the path `parent` extended by span name `name`.
   uint32_t InternPath(uint32_t parent, const char* name);
   // Find-or-create the profile cell for `key` (open-addressed; see
@@ -330,10 +313,6 @@ class Meter {
   // Export-side view of the profile cells, rebuilt on demand (cold).
   mutable std::map<ProfileKey, ProfileEntry> profile_view_;
   mutable bool profile_view_valid_ = true;
-
-  bool name_check_ = false;
-  std::unordered_set<const char*> known_names_;
-  uint64_t name_contract_violations_ = 0;
 };
 
 // RAII helper for nested durations: opens a causal span (kSpanBegin) on
@@ -344,7 +323,7 @@ class Meter {
 // on, so it closes correctly even if the dispatcher switched contexts.
 class TraceSpan {
  public:
-  TraceSpan(Meter* meter, const char* name, uint64_t arg = 0);
+  TraceSpan(Meter* meter, StaticName name, uint64_t arg = 0);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -353,7 +332,7 @@ class TraceSpan {
  private:
   Meter* meter_;  // Null when the meter was disabled at construction.
   TraceContext* ctx_ = nullptr;
-  const char* name_;
+  StaticName name_;
 };
 
 }  // namespace multics

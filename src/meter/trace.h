@@ -9,10 +9,10 @@
 // with the deterministic sim clock, so two same-seed runs produce
 // byte-identical traces.
 //
-// Events carry a `const char*` name: call sites pass string literals (or
-// otherwise static strings), never temporaries, so recording an event is a
-// handful of stores and the recorder never allocates after construction
-// (the ring's storage is reserved up front and filled on demand).
+// Events carry a `const char*` name taken from a StaticName (src/base/stats.h),
+// so recording an event is a handful of stores and the recorder never
+// allocates after construction (the ring's storage is reserved up front and
+// filled on demand).
 
 #ifndef SRC_METER_TRACE_H_
 #define SRC_METER_TRACE_H_
@@ -54,12 +54,8 @@ struct TraceEvent {
   Cycles time = 0;
   TraceEventKind kind = TraceEventKind::kSpanBegin;
   uint32_t depth = 0;   // Causal span depth of the current context when recorded.
-  // Lifetime contract: `name` must outlive the recorder — the ring stores the
-  // pointer, never a copy, so call sites must pass string literals or other
-  // storage that lives for the whole run (gate name tables qualify; stack
-  // buffers and std::string::c_str() of temporaries do not). The Meter keeps
-  // a debug check (name_contract_violations) that counts pointers it has not
-  // seen registered as static; see Meter::Emit.
+  // The ring stores the pointer, never a copy; the Meter only records
+  // StaticNames, whose text lives for the whole run.
   const char* name = "";
   uint64_t arg = 0;     // Event-specific payload (segno, pid, cycles, ...).
   // Causal attribution, filled in by the Meter at record time:

@@ -137,9 +137,10 @@ TEST_F(AuditStaticTest, SdwBranchBracketDisagreementYieldsOneFinding) {
 // --- Claim 2: gates ---------------------------------------------------------
 
 TEST_F(AuditStaticTest, UnregisteredGateYieldsOneFinding) {
-  // A gate in the live table the configuration's census never named: an
-  // entry point the certification would not have reviewed.
-  ASSERT_EQ(kernel_->gates().Register("bogus_gate", GateCategory::kProcess), Status::kOk);
+  // A gate in the live table the configuration's census never named (the
+  // linker was removed from this kernel): an entry point the certification
+  // would not have reviewed.
+  ASSERT_EQ(kernel_->gates().Register(GateId::kLinkSnapAll), Status::kOk);
 
   ExpectSingleFinding(Certify(), AuditClaim::kGateRegistry);
 }
@@ -288,12 +289,12 @@ TEST_F(AuditStaticTest, SchedulerPermutationLeavesAccessFixed) {
 // --- Report formats ---------------------------------------------------------
 
 TEST_F(AuditStaticTest, JsonReportCarriesFindings) {
-  ASSERT_EQ(kernel_->gates().Register("bogus_gate", GateCategory::kProcess), Status::kOk);
+  ASSERT_EQ(kernel_->gates().Register(GateId::kLinkSnapAll), Status::kOk);
   const AuditReport report = Certify();
   const std::string json = report.ToJson();
   EXPECT_NE(json.find("\"mx-audit-v1\""), std::string::npos) << json;
   EXPECT_NE(json.find("GATE_REGISTRY"), std::string::npos) << json;
-  EXPECT_NE(json.find("bogus_gate"), std::string::npos) << json;
+  EXPECT_NE(json.find("link_snap_all"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/core/kernel.h"
 
 namespace multics {
@@ -84,12 +86,60 @@ TEST_F(KernelTest, GateCensusKernelized) {
 }
 
 TEST_F(KernelTest, RemovedGatesAnswerNotAGate) {
-  EXPECT_EQ(kernel_->InitiatePath(*user_, ">anything").status(), Status::kNotAGate);
-  EXPECT_EQ(kernel_->NameBind(*user_, "x", 100), Status::kNotAGate);
-  EXPECT_EQ(kernel_->LinkSnapAll(*user_, 100).status(), Status::kNotAGate);
-  EXPECT_EQ(kernel_->TtyRead(*user_, 0).status(), Status::kNotAGate);
-  EXPECT_EQ(kernel_->LoginLegacy(*user_, "Jones", "Faculty", "pw", {}).status(),
-            Status::kNotAGate);
+  const uint64_t calls_before = kernel_->gates().total_calls();
+  // Each refusal is audited as a kNotAGate denial naming the gate, and no
+  // call is counted against the table.
+  auto expect_refused = [&](Status status, const char* gate) {
+    EXPECT_EQ(status, Status::kNotAGate) << gate;
+    ASSERT_FALSE(kernel_->audit().recent().empty());
+    const AuditRecord& record = kernel_->audit().recent().back();
+    EXPECT_EQ(record.operation, gate);
+    EXPECT_EQ(record.outcome, Status::kNotAGate);
+  };
+  expect_refused(kernel_->InitiatePath(*user_, ">anything").status(), "initiate_path");
+  expect_refused(kernel_->NameBind(*user_, "x", 100), "bind_ref_name");
+  expect_refused(kernel_->LinkSnapAll(*user_, 100).status(), "link_snap_all");
+  expect_refused(kernel_->TtyRead(*user_, 0).status(), "tty_read");
+  expect_refused(kernel_->LoginLegacy(*user_, "Jones", "Faculty", "pw", {}).status(), "login");
+  EXPECT_EQ(kernel_->audit().denials_with(Status::kNotAGate), 5u);
+  EXPECT_EQ(kernel_->gates().total_calls(), calls_before);
+}
+
+TEST(GateIdTest, CensusNamesAreUniqueAndRoundTrip) {
+  std::set<std::string> names;
+  for (size_t i = 0; i < kGateCount; ++i) {
+    EXPECT_TRUE(names.insert(GateName(GateAt(i)).c_str()).second)
+        << "duplicate gate name " << GateName(GateAt(i)).c_str();
+  }
+  EXPECT_EQ(names.size(), 78u);
+  // Every census row is present in the legacy 645 surface, and the table
+  // reports each under its own name and category, in census order.
+  const GateSet all = PresentGates(KernelConfiguration::Legacy645());
+  EXPECT_EQ(all.count(), kGateCount);
+  const std::vector<GateInfo> gates = GateTable(all).gates();
+  ASSERT_EQ(gates.size(), kGateCount);
+  for (size_t i = 0; i < kGateCount; ++i) {
+    EXPECT_EQ(GateIndex(GateAt(i)), i);
+    EXPECT_EQ(gates[i].name, GateName(GateAt(i)).c_str());
+    EXPECT_EQ(gates[i].category, GateCategoryOf(GateAt(i)));
+  }
+  static_assert(GateCategoryOf(GateId::kLinkSnapAll) == GateCategory::kLinker);
+  static_assert(GatePresenceOf(GateId::kLogin) == GatePresence::kLegacyLogin);
+}
+
+TEST(GateIdTest, PresenceCountsMatchTheCensusTests) {
+  // Legacy: 8 linker + 10 naming + 11 path + 9 device-io gates on top of the
+  // kernelized surface, which also drops login/logout.
+  const GateSet legacy = PresentGates(KernelConfiguration::Legacy6180());
+  const GateSet kernelized = PresentGates(KernelConfiguration::Kernelized6180());
+  EXPECT_EQ(legacy.count(), 78u);
+  EXPECT_EQ(kernelized.count(), 78u - 8u - 10u - 11u - 9u - 2u);
+  EXPECT_EQ((kernelized & ~legacy).count(), 0u);
+  EXPECT_FALSE(kernelized.test(GateIndex(GateId::kLogin)));
+  EXPECT_TRUE(kernelized.test(GateIndex(GateId::kSegTruncate)));
+  const GateTable table(kernelized);
+  EXPECT_EQ(table.CountByCategory(GateCategory::kLinker), 0u);
+  EXPECT_EQ(table.CountByCategory(GateCategory::kAdmin), 2u);
 }
 
 TEST_F(KernelTest, CreateInitiateReadWrite) {

@@ -1,8 +1,8 @@
 // Fixture tests for mx_lint (tools/mx_lint).
 //
 // Each test lays out a small synthetic repository under TempDir and asserts
-// the three passes find exactly the seeded violation — and nothing in the
-// clean variants. The real repository is linted by the `mx_lint_repo` ctest.
+// each pass finds exactly the seeded violation — and nothing in the clean
+// variants. The real repository is linted by the `mx_lint_repo` ctest.
 
 #include <gtest/gtest.h>
 
@@ -138,101 +138,50 @@ TEST_F(LintTest, MissingSrcTreeCannotPassVacuously) {
 }
 
 // --- Gate prologues ---------------------------------------------------------
+// A prologue naming a gate outside the census no longer compiles
+// (tests/compile_fail/phantom_gate.cc); the rule checks coverage only.
 
 TEST_F(LintTest, CensusGateWithoutPrologueYieldsOneFinding) {
-  WriteFile("src/core/config.cc",
-            "x = {{\"alpha\", GateCategory::kProcess},\n"
-            "     {\"beta\", GateCategory::kProcess}};\n");
+  WriteFile("src/core/gate.h",
+            "#define MX_GATE_CENSUS(X) \\\n"
+            "  X(kAlpha, \"alpha\", kProcess, kAlways) \\\n"
+            "  X(kBeta, \"beta\", kProcess, kAlways)\n");
   WriteFile("src/core/kernel.cc",
             "Status Kernel::Alpha(Process& caller) {\n"
-            "  MX_ENTER_GATE(caller, \"alpha\", 0);\n"
-            "  return Status::kOk;\n}\n");
+            "  MX_ENTER_GATE(caller, GateId::kAlpha, 0);\n"
+            "  return Status::kOk;\n}\n"
+            "// A comment naming GateId::kBeta does not count.\n");
   Report report;
   CheckGatePrologues(Root(), &report);
   ASSERT_EQ(report.findings.size(), 1u) << report.ToString();
   EXPECT_EQ(report.findings[0].rule, "gate-prologue");
+  EXPECT_EQ(report.findings[0].file, "src/core/gate.h");
   EXPECT_NE(report.findings[0].message.find("beta"), std::string::npos);
 }
 
-TEST_F(LintTest, PrologueOutsideCensusYieldsOneFinding) {
-  WriteFile("src/core/config.cc", "x = {{\"alpha\", GateCategory::kProcess}};\n");
+TEST_F(LintTest, GateIdChosenByTernaryOrAssignmentCounts) {
+  // The seg_set_length / seg_truncate pattern: one body, two gates.
+  WriteFile("src/core/gate.h",
+            "#define MX_GATE_CENSUS(X) \\\n"
+            "  X(kSegSetLength, \"seg_set_length\", kSegment, kAlways) \\\n"
+            "  X(kSegTruncate, \"seg_truncate\", kSegment, kAlways) \\\n"
+            "  X(kSegGetLength, \"seg_get_length\", kSegment, kAlways)\n");
   WriteFile("src/core/kernel.cc",
-            "  MX_ENTER_GATE(caller, \"alpha\", 0);\n"
-            "  MX_ENTER_GATE(caller, \"phantom\", 0);\n");
-  Report report;
-  CheckGatePrologues(Root(), &report);
-  ASSERT_EQ(report.findings.size(), 1u) << report.ToString();
-  EXPECT_NE(report.findings[0].message.find("phantom"), std::string::npos);
-  EXPECT_EQ(report.findings[0].line, 2);
-}
-
-TEST_F(LintTest, IdentifierGateNameResolvesThroughAssignments) {
-  // The seg_set_length / seg_truncate pattern: one body, two gate names.
-  WriteFile("src/core/config.cc",
-            "x = {{\"seg_set_length\", GateCategory::kSegment},\n"
-            "     {\"seg_truncate\", GateCategory::kSegment}};\n");
-  WriteFile("src/core/kernel.cc",
-            "  const char* gate = truncate ? nullptr : nullptr;\n"
-            "  gate = \"seg_set_length\";\n"
-            "  if (truncate) gate = \"seg_truncate\";\n"
-            "  MX_ENTER_GATE(caller, gate, pages);\n");
+            "  GateId gate = truncate ? GateId::kSegTruncate : GateId::kSegSetLength;\n"
+            "  MX_ENTER_GATE(caller, gate, pages);\n"
+            "  GateId other = GateId::kSegSetLength;\n"
+            "  other = GateId::kSegGetLength;\n"
+            "  MX_ENTER_GATE(caller, other);\n");
   Report report;
   CheckGatePrologues(Root(), &report);
   EXPECT_TRUE(report.clean()) << report.ToString();
 }
 
-// --- Discarded Status -------------------------------------------------------
-
-TEST_F(LintTest, DroppedStatusCallYieldsOneFinding) {
-  WriteFile("src/base/api.h", "Status DoThing(int x);\n");
-  WriteFile("src/core/use.cc",
-            "void Caller() {\n"
-            "  DoThing(1);\n"
-            "}\n");
+TEST_F(LintTest, MissingGateCensusCannotPassVacuously) {
+  WriteFile("src/core/kernel.cc", "  MX_ENTER_GATE(caller, GateId::kAlpha);\n");
   Report report;
-  CheckDiscardedStatus(Root(), &report);
-  ASSERT_EQ(report.findings.size(), 1u) << report.ToString();
-  EXPECT_EQ(report.findings[0].rule, "discarded-status");
-  EXPECT_EQ(report.findings[0].file, "src/core/use.cc");
-  EXPECT_EQ(report.findings[0].line, 2);
-}
-
-TEST_F(LintTest, ConsumedStatusIsClean) {
-  WriteFile("src/base/api.h",
-            "Status DoThing(int x);\nResult<int> Fetch();\n");
-  WriteFile("src/core/use.cc",
-            "Status Caller() {\n"
-            "  Status s = DoThing(1);\n"
-            "  if (DoThing(2) != Status::kOk) return s;\n"
-            "  MX_RETURN_IF_ERROR(DoThing(3));\n"
-            "  auto r = Fetch();\n"
-            "  (void)DoThing(4);\n"
-            "  return DoThing(5);\n"
-            "}\n");
-  Report report;
-  CheckDiscardedStatus(Root(), &report);
-  EXPECT_TRUE(report.clean()) << report.ToString();
-}
-
-TEST_F(LintTest, DroppedResultOnReceiverChainYieldsFinding) {
-  WriteFile("src/base/api.h", "Result<int> Grow(int pages);\n");
-  WriteFile("src/core/use.cc",
-            "void Caller(Kernel& kernel) {\n"
-            "  kernel.store().Grow(2);\n"
-            "}\n");
-  Report report;
-  CheckDiscardedStatus(Root(), &report);
-  ASSERT_EQ(report.CountForRule("discarded-status"), 1) << report.ToString();
-}
-
-TEST_F(LintTest, AmbiguousNameIsSkipped) {
-  // Overloaded across return types: the linter must not guess.
-  WriteFile("src/base/api.h", "Status DoThing(int x);\n");
-  WriteFile("src/fs/other.h", "void DoThing(double y);\n");
-  WriteFile("src/core/use.cc", "void Caller() {\n  DoThing(1);\n}\n");
-  Report report;
-  CheckDiscardedStatus(Root(), &report);
-  EXPECT_TRUE(report.clean()) << report.ToString();
+  CheckGatePrologues(Root(), &report);
+  ASSERT_EQ(report.CountForRule("gate-prologue"), 1) << report.ToString();
 }
 
 // --- Mutable counters -------------------------------------------------------

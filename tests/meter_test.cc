@@ -379,25 +379,5 @@ TEST(MeterTest, ControlCharactersInNamesAreEscapedInChromeTrace) {
   }
 }
 
-TEST(MeterTest, NameContractCheckCountsDynamicNames) {
-  SimClock clock;
-  Meter meter(&clock, /*recorder_capacity=*/16);
-  static const char kStatic[] = "static_name";
-  meter.Emit(TraceEventKind::kDispatch, kStatic);  // Learned while checking is off.
-
-  meter.set_name_check(true);
-  meter.Emit(TraceEventKind::kDispatch, kStatic);
-  EXPECT_EQ(meter.name_contract_violations(), 0u);
-
-  const std::string dynamic = std::string("dyn") + "amic";
-  meter.Emit(TraceEventKind::kDispatch, dynamic.c_str());
-  EXPECT_EQ(meter.name_contract_violations(), 1u);
-
-  // Registering the pointer blesses it.
-  meter.RegisterStaticName(dynamic.c_str());
-  meter.Emit(TraceEventKind::kDispatch, dynamic.c_str());
-  EXPECT_EQ(meter.name_contract_violations(), 1u);
-}
-
 }  // namespace
 }  // namespace multics

@@ -215,7 +215,7 @@ TEST_F(UserRingTest, AnsweringServiceLoginWithoutKernelGate) {
             Status::kOk);
 
   // There is no login gate in the kernelized kernel at all.
-  EXPECT_FALSE(kernel_->gates().Has("login"));
+  EXPECT_FALSE(kernel_->gates().Has(GateId::kLogin));
 
   auto bad = (*service)->Login("Jones", "Faculty", "wrong", {});
   EXPECT_EQ(bad.status(), Status::kAuthenticationFailed);

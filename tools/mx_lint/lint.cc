@@ -1,7 +1,6 @@
 #include "tools/mx_lint/lint.h"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -250,212 +249,45 @@ void CheckLayering(const std::string& repo_root, Report* report) {
 
 // --- 2. Gate prologues ------------------------------------------------------
 
-namespace {
-
-// Gate census: every `{"name", GateCategory::...}` pair in src/core — the
-// single source of truth the kernel registers its gate table from.
-std::map<std::string, std::string> GateCensus(const fs::path& root) {
-  std::map<std::string, std::string> census;  // name -> file declaring it
-  static const std::regex kCensusEntry("\\{\\s*\"([a-z0-9_]+)\"\\s*,\\s*GateCategory::");
-  for (const fs::path& file : SourceFiles(root / "src" / "core")) {
-    const std::string text = ReadFile(file);
-    for (auto it = std::sregex_iterator(text.begin(), text.end(), kCensusEntry);
-         it != std::sregex_iterator(); ++it) {
-      census.emplace((*it)[1].str(), RelPath(root, file));
-    }
-  }
-  return census;
-}
-
-}  // namespace
-
 void CheckGatePrologues(const std::string& repo_root, Report* report) {
   const fs::path root(repo_root);
-  const std::map<std::string, std::string> census = GateCensus(root);
+  // The census is the X-macro table in src/core (gate.h): one
+  // X(kEnumerator, "name", category, presence) row per gate. The compiler
+  // already rejects a prologue naming anything else (MX_ENTER_GATE takes a
+  // GateId); what it cannot see is a census row no gate body enters — an
+  // entry point registered in the table with no audited implementation.
+  static const std::regex kCensusRow("\\bX\\(\\s*(k[A-Za-z0-9]+)\\s*,\\s*\"([a-z0-9_]+)\"\\s*,");
+  static const std::regex kGateRef("\\bGateId::(k[A-Za-z0-9]+)\\b");
+  std::map<std::string, std::pair<std::string, std::string>> census;  // id -> (name, file)
+  std::set<std::string> referenced;
+  for (const fs::path& file : SourceFiles(root / "src" / "core")) {
+    const std::string raw = ReadFile(file);
+    for (auto it = std::sregex_iterator(raw.begin(), raw.end(), kCensusRow);
+         it != std::sregex_iterator(); ++it) {
+      census.emplace((*it)[1].str(), std::make_pair((*it)[2].str(), RelPath(root, file)));
+    }
+    if (file.extension() != ".cc") continue;
+    const std::string text = StripCommentsAndStrings(raw);
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), kGateRef);
+         it != std::sregex_iterator(); ++it) {
+      referenced.insert((*it)[1].str());
+    }
+  }
   if (census.empty()) {
     Add(report, "gate-prologue", "src/core", 0,
-        "no gate census found (no {\"name\", GateCategory::...} entries in src/core)");
+        "no gate census found (no X(kGate, \"name\", ...) rows in src/core)");
     return;
   }
-
-  // Names entered through MX_ENTER_GATE. The second argument is either a
-  // string literal or an identifier; for identifiers, every literal assigned
-  // to that identifier in the same file counts (the seg_set_length /
-  // seg_truncate pattern: one body behind two gates).
-  static const std::regex kEnterLiteral("MX_ENTER_GATE\\(\\s*caller\\s*,\\s*\"([a-z0-9_]+)\"");
-  static const std::regex kEnterIdent(
-      "MX_ENTER_GATE\\(\\s*caller\\s*,\\s*([A-Za-z_][A-Za-z0-9_]*)\\s*[,)]");
-  std::map<std::string, std::pair<std::string, int>> prologue;  // name -> (file, line)
-  for (const fs::path& file : SourceFiles(root / "src" / "core")) {
-    const std::string rel = RelPath(root, file);
-    const std::string text = ReadFile(file);
-    for (auto it = std::sregex_iterator(text.begin(), text.end(), kEnterLiteral);
-         it != std::sregex_iterator(); ++it) {
-      prologue.emplace((*it)[1].str(),
-                       std::make_pair(rel, LineOf(text, static_cast<size_t>(it->position()))));
-    }
-    for (auto it = std::sregex_iterator(text.begin(), text.end(), kEnterIdent);
-         it != std::sregex_iterator(); ++it) {
-      const std::string ident = (*it)[1].str();
-      const std::regex assign(ident + "\\s*=\\s*\"([a-z0-9_]+)\"");
-      for (auto a = std::sregex_iterator(text.begin(), text.end(), assign);
-           a != std::sregex_iterator(); ++a) {
-        prologue.emplace((*a)[1].str(),
-                         std::make_pair(rel, LineOf(text, static_cast<size_t>(a->position()))));
-      }
-    }
-  }
-
-  for (const auto& [name, file] : census) {
-    if (!prologue.contains(name)) {
-      Add(report, "gate-prologue", file, 0,
-          "gate \"" + name +
-              "\" is in the census but no gate body enters it through MX_ENTER_GATE: "
-              "an unauditable entry point");
-    }
-  }
-  for (const auto& [name, where] : prologue) {
-    if (!census.contains(name)) {
-      Add(report, "gate-prologue", where.first, where.second,
-          "MX_ENTER_GATE(\"" + name +
-              "\") names a gate missing from the census: calls through it can never be "
-              "accounted against a registered gate");
+  for (const auto& [id, where] : census) {
+    if (!referenced.contains(id)) {
+      Add(report, "gate-prologue", where.second, 0,
+          "gate \"" + where.first + "\" is in the census but no src/core body names GateId::" +
+              id + ": an unauditable entry point");
     }
   }
 }
 
-// --- 3. Discarded Status / Result -------------------------------------------
-
-namespace {
-
-// Does text position `pos` (start of an identifier) begin a statement? Walks
-// back over a receiver chain (`a.b->c(x)[i].`) to the statement boundary.
-bool IsStatementInitial(const std::string& text, size_t pos) {
-  size_t i = pos;
-  for (;;) {
-    while (i > 0 && std::isspace(static_cast<unsigned char>(text[i - 1]))) --i;
-    if (i == 0) return true;
-    const char prev = text[i - 1];
-    bool have_connector = false;
-    if (prev == '.') {
-      i -= 1;
-      have_connector = true;
-    } else if (prev == '>' && i >= 2 && text[i - 2] == '-') {
-      i -= 2;
-      have_connector = true;
-    } else if (prev == ':' && i >= 2 && text[i - 2] == ':') {
-      i -= 2;
-      have_connector = true;
-    }
-    if (!have_connector) {
-      return prev == ';' || prev == '{' || prev == '}';
-    }
-    // Walk back over the receiver primary: trailing ()/[] groups, then an
-    // identifier. `(f().g)->h()` style parenthesized receivers are treated
-    // as non-statement-initial (conservative: no finding).
-    while (i > 0 && std::isspace(static_cast<unsigned char>(text[i - 1]))) --i;
-    while (i > 0 && (text[i - 1] == ')' || text[i - 1] == ']')) {
-      const char close = text[i - 1];
-      const char open = close == ')' ? '(' : '[';
-      int depth = 0;
-      size_t j = i;
-      while (j > 0) {
-        --j;
-        if (text[j] == close) ++depth;
-        if (text[j] == open && --depth == 0) break;
-      }
-      if (depth != 0) return false;
-      i = j;
-      while (i > 0 && std::isspace(static_cast<unsigned char>(text[i - 1]))) --i;
-    }
-    if (i == 0 || (!std::isalnum(static_cast<unsigned char>(text[i - 1])) && text[i - 1] != '_')) {
-      return false;  // No identifier at the chain head: give up, no finding.
-    }
-    while (i > 0 &&
-           (std::isalnum(static_cast<unsigned char>(text[i - 1])) || text[i - 1] == '_')) {
-      --i;
-    }
-  }
-}
-
-// Position just past the ')' matching the '(' at `open`, or npos.
-size_t MatchParen(const std::string& text, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '(') ++depth;
-    if (text[i] == ')' && --depth == 0) return i + 1;
-  }
-  return std::string::npos;
-}
-
-}  // namespace
-
-void CheckDiscardedStatus(const std::string& repo_root, Report* report) {
-  const fs::path root(repo_root);
-  const fs::path src = root / "src";
-  if (!fs::is_directory(src)) return;  // CheckLayering already reported this.
-
-  // Pass 1: inventory function names by declared return type. A name is a
-  // confirmed Status/Result returner only if *every* declaration of it in
-  // the tree returns Status or Result<T>; names that also appear with other
-  // return types are ambiguous and skipped (no false positives).
-  static const std::regex kStatusDecl(
-      "^\\s*(?:virtual\\s+|static\\s+|inline\\s+|constexpr\\s+|friend\\s+)*"
-      "(?:multics::)?(?:Status|Result<[^;={}]*>)\\s+"
-      "(?:[A-Za-z_][A-Za-z0-9_]*::)?([A-Za-z_][A-Za-z0-9_]*)\\s*\\(");
-  static const std::regex kOtherDecl(
-      "^\\s*(?:virtual\\s+|static\\s+|inline\\s+|constexpr\\s+|explicit\\s+|friend\\s+)*"
-      "([A-Za-z_][A-Za-z0-9_:<>,*& ]*?)\\s+"
-      "(?:[A-Za-z_][A-Za-z0-9_]*::)?([A-Za-z_][A-Za-z0-9_]*)\\s*\\(");
-  std::set<std::string> status_names;
-  std::set<std::string> other_names;
-  std::vector<std::pair<std::string, std::string>> stripped;  // (rel, text)
-  for (const fs::path& file : SourceFiles(src)) {
-    const std::string text = StripCommentsAndStrings(ReadFile(file));
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      std::smatch m;
-      if (std::regex_search(line, m, kStatusDecl)) {
-        status_names.insert(m[1].str());
-      } else if (std::regex_search(line, m, kOtherDecl)) {
-        const std::string type = m[1].str();
-        if (type.find("Status") == std::string::npos &&
-            type.find("Result<") == std::string::npos) {
-          other_names.insert(m[2].str());
-        }
-      }
-    }
-    stripped.emplace_back(RelPath(root, file), text);
-  }
-  for (const std::string& name : other_names) status_names.erase(name);
-  status_names.erase("Status");  // Constructor-style uses, not calls.
-
-  // Pass 2: statement-initial calls to a confirmed name whose full statement
-  // is just the call — the returned Status/Result is dropped on the floor.
-  for (const auto& [rel, text] : stripped) {
-    static const std::regex kCall("\\b([A-Za-z_][A-Za-z0-9_]*)\\s*\\(");
-    for (auto it = std::sregex_iterator(text.begin(), text.end(), kCall);
-         it != std::sregex_iterator(); ++it) {
-      const std::string name = (*it)[1].str();
-      if (!status_names.contains(name)) continue;
-      const size_t name_pos = static_cast<size_t>(it->position());
-      if (!IsStatementInitial(text, name_pos)) continue;
-      const size_t open = name_pos + it->str().size() - 1;  // The '('.
-      const size_t after = MatchParen(text, open);
-      if (after == std::string::npos) continue;
-      size_t j = after;
-      while (j < text.size() && std::isspace(static_cast<unsigned char>(text[j]))) ++j;
-      if (j < text.size() && text[j] == ';') {
-        Add(report, "discarded-status", rel, LineOf(text, name_pos),
-            "call to " + name + "() discards its Status/Result; consume it "
-            "(MX_RETURN_IF_ERROR, CHECK, or an explicit branch)");
-      }
-    }
-  }
-}
-
-// --- 4. Mutable counters ----------------------------------------------------
+// --- 3. Mutable counters ----------------------------------------------------
 
 void CheckMutableCounters(const std::string& repo_root, Report* report) {
   const fs::path root(repo_root);
@@ -483,7 +315,7 @@ void CheckMutableCounters(const std::string& repo_root, Report* report) {
   }
 }
 
-// --- 5. Lock-order documentation --------------------------------------------
+// --- 4. Lock-order documentation --------------------------------------------
 
 namespace {
 
@@ -580,7 +412,7 @@ void CheckLockOrder(const std::string& repo_root, Report* report) {
   }
 }
 
-// --- 6. Host spans in the reference monitor ---------------------------------
+// --- 5. Host spans in the reference monitor ---------------------------------
 
 void CheckHostSpans(const std::string& repo_root, Report* report) {
   const fs::path root(repo_root);
@@ -616,7 +448,7 @@ void CheckHostSpans(const std::string& repo_root, Report* report) {
   }
 }
 
-// --- 7. Oracle confinement --------------------------------------------------
+// --- 6. Oracle confinement --------------------------------------------------
 
 void CheckOracleConfinement(const std::string& repo_root, Report* report) {
   const fs::path root(repo_root);
@@ -659,7 +491,7 @@ void CheckOracleConfinement(const std::string& repo_root, Report* report) {
   }
 }
 
-// --- 8. Hot-path containers --------------------------------------------------
+// --- 7. Hot-path containers --------------------------------------------------
 
 void CheckHotPathContainers(const std::string& repo_root, Report* report) {
   const fs::path root(repo_root);
@@ -782,7 +614,6 @@ Report RunLint(const std::string& repo_root) {
   Report report;
   CheckLayering(repo_root, &report);
   CheckGatePrologues(repo_root, &report);
-  CheckDiscardedStatus(repo_root, &report);
   CheckMutableCounters(repo_root, &report);
   CheckLockOrder(repo_root, &report);
   CheckHostSpans(repo_root, &report);

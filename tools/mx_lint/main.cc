@@ -3,8 +3,8 @@
 //   mx_lint [--json] [REPO_ROOT]
 //
 // Scans REPO_ROOT/src (default: current directory) for layering violations,
-// gates missing the MX_ENTER_GATE prologue, and discarded Status/Result
-// values. Exit status: 0 clean, 1 findings, 2 usage error.
+// census gates no gate body enters, and the other rules in lint.h. Exit
+// status: 0 clean, 1 findings, 2 usage error.
 
 #include <cstdio>
 #include <cstring>
