@@ -73,8 +73,8 @@ Outcome RunLegacy() {
   outcome.kernel_state_bytes = kernel.KernelAddressSpaceStateBytes(*user);
   outcome.user_ring_state_bytes = 0;
   outcome.kernel_addr_ops = kernel.address_space_ops() - ops_before;
-  outcome.kernel_walk_cycles = kernel.machine().charges().Get("kernel_path_walk");
-  outcome.user_walk_cycles = kernel.machine().charges().Get("user_ring_path_walk");
+  outcome.kernel_walk_cycles = kernel.machine().charges().Get(ChargeKind::kKernelPathWalk);
+  outcome.user_walk_cycles = kernel.machine().charges().Get(ChargeKind::kUserRingPathWalk);
   outcome.addr_gates = kernel.gates().CountByCategory(GateCategory::kPathAddressing) +
                        kernel.gates().CountByCategory(GateCategory::kNaming) +
                        kernel.gates().CountByCategory(GateCategory::kAddressSpace);
@@ -110,8 +110,8 @@ Outcome RunKernelized() {
   outcome.user_ring_state_bytes = rnm.UserRingStateBytes() + rules.UserRingStateBytes();
   outcome.kernel_addr_ops = kernel.address_space_ops() - ops_before;
   bench::RegisterRunStats(kernel.machine());  // The kernelized run is the primary system.
-  outcome.kernel_walk_cycles = kernel.machine().charges().Get("kernel_path_walk");
-  outcome.user_walk_cycles = kernel.machine().charges().Get("user_ring_path_walk");
+  outcome.kernel_walk_cycles = kernel.machine().charges().Get(ChargeKind::kKernelPathWalk);
+  outcome.user_walk_cycles = kernel.machine().charges().Get(ChargeKind::kUserRingPathWalk);
   outcome.addr_gates = kernel.gates().CountByCategory(GateCategory::kPathAddressing) +
                        kernel.gates().CountByCategory(GateCategory::kNaming) +
                        kernel.gates().CountByCategory(GateCategory::kAddressSpace);

@@ -83,10 +83,12 @@ CostBreakdown RunWorkload(const KernelConfiguration& config, const std::string& 
   // whole measured window lives under one root span, so the attribution
   // profile's self-cycles sum to exactly the session's charged cycles.
   {
-  TraceSpan session_span(&meter, "session");
+  MeterId session_dist = kInvalidMeterId;
+  MeterId round_dist = kInvalidMeterId;
+  TraceSpan session_span(&meter, "session", session_dist);
   SegNo home = resolve(">udd>Faculty>Jones");
   for (int round = 0; round < rounds; ++round) {  // 60 pages: inside the project quota.
-    TraceSpan round_span(&meter, "session_round", static_cast<uint64_t>(round));
+    TraceSpan round_span(&meter, "session_round", round_dist, static_cast<uint64_t>(round));
     for (int i = 0; i < segments_per_round; ++i) {
       std::string name = "w" + std::to_string(round) + "_" + std::to_string(i);
       SegmentAttributes attrs;
@@ -117,11 +119,11 @@ CostBreakdown RunWorkload(const KernelConfiguration& config, const std::string& 
   cost.total = kernel.machine().clock().now() - start;
   cost.gate_calls = kernel.gates().total_calls() - calls_before;
   const CounterSet& charges = kernel.machine().charges();
-  cost.gate_crossing = charges.Get("gate_crossing");
-  cost.kernel_naming = charges.Get("kernel_path_walk");
-  cost.user_naming = charges.Get("user_ring_path_walk");
-  cost.kernel_linker = charges.Get("kernel_linker");
-  cost.page_io = charges.Get("page_io");
+  cost.gate_crossing = charges.Get(ChargeKind::kGateCrossing);
+  cost.kernel_naming = charges.Get(ChargeKind::kKernelPathWalk);
+  cost.user_naming = charges.Get(ChargeKind::kUserRingPathWalk);
+  cost.kernel_linker = charges.Get(ChargeKind::kKernelLinker);
+  cost.page_io = charges.Get(ChargeKind::kPageIo);
 
   for (const auto& [name, dist] : meter.DistributionSnapshot()) {
     if (name.starts_with("gate/")) {

@@ -51,7 +51,7 @@ void RunBench(const bench::BenchOptions& options) {
                     1) +
                     "x"});
   table.AddRow({"data copied (cycles, trivial loop)", "0",
-                Fmt(fresh.machine().charges().Get("image_copy")), "--"});
+                Fmt(fresh.machine().charges().Get(ChargeKind::kImageCopy)), "--"});
   table.Print();
 
   std::printf("\nBootstrap step sequence (%u steps):\n", bootstrap_report->privileged_steps);

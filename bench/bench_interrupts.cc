@@ -45,7 +45,7 @@ InterruptRun RunStrategy(InterruptStrategy strategy, Cycles handler_work, int in
       if (!ctx.Await(chan)) {
         return TaskState::kBlocked;
       }
-      ctx.Charge(handler_work, "interrupt_handler");
+      ctx.Charge(handler_work, ChargeKind::kInterruptHandler);
       ctx.controller().RecordInterruptLatency(ctx.last_message().data);
       ++handled;
       return TaskState::kReady;
@@ -65,7 +65,7 @@ InterruptRun RunStrategy(InterruptStrategy strategy, Cycles handler_work, int in
     auto victim = tc.CreateProcess(
         "victim" + std::to_string(v), Principal{"User", "Proj", "a"}, {}, kRingUser,
         std::make_unique<FnTask>([&victim_steps](TaskContext& ctx) {
-          ctx.Charge(400, "victim_cpu");
+          ctx.Charge(400, ChargeKind::kVictimCpu);
           ++victim_steps;
           return TaskState::kReady;
         }));

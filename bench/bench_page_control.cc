@@ -61,7 +61,7 @@ RunResult RunWorkload(bool parallel, uint32_t core_frames, uint32_t touched_page
     pte.modified = true;
     // Compute between references; the daemons overlap their transfers with
     // this time, as the paper's asynchronous design intends.
-    machine.Charge(2500, "user_cpu");
+    machine.Charge(2500, ChargeKind::kUserCpu);
     machine.events().RunUntil(machine.clock().now());
   }
   RunResult result;

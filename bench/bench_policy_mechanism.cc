@@ -70,7 +70,7 @@ PolicyRun RunWith(const std::string& policy_name, RingMode ring_mode, int touche
   PolicyRun run;
   run.faults = pc.metrics().faults;
   run.gate_crossings = gates.gate_crossings();
-  run.crossing_cycles = machine.charges().Get("policy_gate");
+  run.crossing_cycles = machine.charges().Get(ChargeKind::kPolicyGate);
   run.garbage_rejected = gates.rejected_arguments();
 
   // Integrity audit: every page's last write must still be there.

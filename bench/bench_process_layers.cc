@@ -37,7 +37,7 @@ LayerRun RunLayers(bool two_layer, int user_count, Cycles horizon) {
     if (!ctx.Await(chan)) {
       return TaskState::kBlocked;
     }
-    ctx.Charge(50, "daemon_cpu");
+    ctx.Charge(50, ChargeKind::kDaemonCpu);
     service.Add(static_cast<double>(ctx.machine().clock().now() - ctx.last_message().data));
     ++daemon_steps;
     return TaskState::kReady;
@@ -51,7 +51,7 @@ LayerRun RunLayers(bool two_layer, int user_count, Cycles horizon) {
     auto user = tc.CreateProcess(
         "user" + std::to_string(i), Principal{"U", "Proj", "a"}, {}, kRingUser,
         std::make_unique<FnTask>([&, chan](TaskContext& ctx) {
-          ctx.Charge(300, "user_cpu");
+          ctx.Charge(300, ChargeKind::kUserCpu);
           ++user_steps;
           // Every user step generates daemon work (as page faults would).
           (void)ctx.Wakeup(chan, ctx.machine().clock().now());

@@ -100,7 +100,7 @@ void RunBench(const bench::BenchOptions& options) {
     for (int i = 0; i < calls; ++i) {
       CHECK(kernel.RootDir(*user.value()).ok());
     }
-    const Cycles per_call = kernel.machine().charges().Get("gate_crossing") / calls;
+    const Cycles per_call = kernel.machine().charges().Get(ChargeKind::kGateCrossing) / calls;
     gate_table.AddRow({config.Name(), Fmt(per_call)});
     bench::RegisterMetric(std::string(config.Name()) + "_gate_crossing_cycles_per_call",
                           per_call, "cycles");

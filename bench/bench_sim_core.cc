@@ -75,7 +75,7 @@ LockRun RunLockTimeline(uint64_t holds) {
   for (uint64_t i = 0; i < holds; ++i) {
     machine.SetActiveCpu(static_cast<uint32_t>(i % 4));
     lock.Acquire();
-    machine.Charge(10 + (Mix(i) % 90), "bench_hold");
+    machine.Charge(10 + (Mix(i) % 90), ChargeKind::kBenchHold);
     lock.Release();
   }
   machine.SetActiveCpu(0);
@@ -91,17 +91,19 @@ struct MeterRun {
   uint64_t sample_count = 0;
 };
 
-// Hammer the three meter fast paths: const char* site-cached counters,
-// pre-interned MeterId counters, and named distributions.
+// Hammer the meter fast paths: two interned MeterId counters and an
+// interned distribution.
 MeterRun RunMeter(uint64_t ops) {
   Machine machine(MachineConfig{});
   Meter& meter = machine.meter();
+  const MeterId site = meter.InternCounter("bench/site_cached");
   const MeterId hot = meter.InternCounter("bench/interned_hot");
+  const MeterId latency = meter.InternDistribution("bench/latency");
   for (uint64_t i = 0; i < ops; ++i) {
-    meter.Count("bench/site_cached");
+    meter.Count(site);
     meter.Count(hot, 2);
     if ((i & 7) == 0) {
-      meter.AddSample("bench/latency", static_cast<double>(Mix(i) % 1000));
+      meter.AddSample(latency, static_cast<double>(Mix(i) % 1000));
     }
   }
   MeterRun run;

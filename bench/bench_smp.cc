@@ -70,7 +70,7 @@ class PagingWorker : public Task {
     PageTableEntry& pte = seg_->page_table.entries[page];
     pte.used = true;
     pte.modified = true;
-    ctx.Charge(400, "user_cpu");
+    ctx.Charge(400, ChargeKind::kUserCpu);
     return TaskState::kReady;
   }
 

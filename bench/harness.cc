@@ -105,7 +105,7 @@ void RegisterRunStats(const Machine& machine) {
   g_active->has_run_stats = true;
   const Cycles per_ref = machine.costs().memory_reference;
   if (per_ref > 0) {
-    g_active->refs = machine.charges().Get("memory_reference") / per_ref;
+    g_active->refs = machine.charges().Get(ChargeKind::kMemoryReference) / per_ref;
   }
   for (const auto& [name, value] : machine.charges().Snapshot()) {
     g_active->counters["charge/" + name] = value;

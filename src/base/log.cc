@@ -3,7 +3,7 @@
 namespace multics {
 namespace {
 
-LogLevel g_min_level = LogLevel::kWarning;
+constexpr LogLevel kMinLevel = LogLevel::kWarning;
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -23,16 +23,12 @@ const char* LevelTag(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetMinLogLevel() { return g_min_level; }
-
-void SetMinLogLevel(LogLevel level) { g_min_level = level; }
-
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
   stream_ << "[" << LevelTag(level) << " " << file << ":" << line << "] ";
 }
 
 LogMessage::~LogMessage() {
-  if (level_ >= g_min_level || level_ == LogLevel::kFatal) {
+  if (level_ >= kMinLevel || level_ == LogLevel::kFatal) {
     std::cerr << stream_.str() << std::endl;
   }
   if (level_ == LogLevel::kFatal) {

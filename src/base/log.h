@@ -2,8 +2,8 @@
 //
 // CHECK(cond) aborts with a message when an invariant is violated; it is used
 // for programmer errors only, never for conditions reachable from simulated
-// user programs (those return Status codes). LOG(level) writes to stderr and
-// can be silenced globally, which the benches do.
+// user programs (those return Status codes). LOG(level) writes to stderr at
+// kWarning and above; lower levels are discarded.
 
 #ifndef SRC_BASE_LOG_H_
 #define SRC_BASE_LOG_H_
@@ -15,10 +15,6 @@
 namespace multics {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
-
-// Global minimum level; messages below it are discarded.
-LogLevel GetMinLogLevel();
-void SetMinLogLevel(LogLevel level);
 
 class LogMessage {
  public:

@@ -79,46 +79,4 @@ void Distribution::Clear() {
   sum_sq_ = 0.0;
 }
 
-namespace {
-
-auto CounterLowerBound(auto& counters, std::string_view name) {
-  return std::lower_bound(counters.begin(), counters.end(), name,
-                          [](const auto& entry, std::string_view key) {
-                            return entry.first < key;
-                          });
-}
-
-}  // namespace
-
-uint32_t CounterSet::SlotFor(std::string_view name) {
-  auto it = CounterLowerBound(names_, name);
-  if (it != names_.end() && it->first == name) {
-    return it->second;
-  }
-  const uint32_t slot = static_cast<uint32_t>(cells_.size());
-  cells_.push_back(0);
-  names_.emplace(it, std::string(name), slot);
-  return slot;
-}
-
-uint64_t CounterSet::Get(const std::string& name) const {
-  auto it = CounterLowerBound(names_, name);
-  return it != names_.end() && it->first == name ? cells_[it->second] : 0;
-}
-
-std::vector<std::pair<std::string, uint64_t>> CounterSet::Snapshot() const {
-  std::vector<std::pair<std::string, uint64_t>> out;
-  out.reserve(names_.size());
-  for (const auto& [name, slot] : names_) {
-    out.emplace_back(name, cells_[slot]);
-  }
-  return out;
-}
-
-void CounterSet::Clear() {
-  names_.clear();
-  cells_.clear();
-  ptr_cache_.Clear();
-}
-
 }  // namespace multics

@@ -178,7 +178,7 @@ Status Kernel::EnterGate(Process& caller, GateId gate) {
     InjectionDecision d = machine_.ConsultInjector(InjectSite::kGateEntry, name, caller.pid());
     if (d.IsFault()) {
       if (d.delay > 0) {
-        machine_.Charge(d.delay, "fault_path");
+        machine_.Charge(d.delay, ChargeKind::kFaultPath);
       }
       audit_.Record(machine_.clock().now(), caller.principal_string(), name, kInvalidUid,
                     d.fault);
@@ -193,14 +193,14 @@ void Kernel::ChargeGateCrossing(uint32_t arg_words) {
   if (machine_.ring_mode() == RingMode::kHardware6180) {
     machine_.Charge(costs.intra_ring_call + costs.hardware_ring_call_extra +
                         costs.intra_ring_return + costs.hardware_ring_return_extra,
-                    "gate_crossing");
+                    ChargeKind::kGateCrossing);
   } else {
     machine_.Charge(costs.intra_ring_call + costs.software_ring_trap +
                         costs.software_ring_validate + costs.software_ring_swap +
                         costs.software_ring_arg_copy_per_word * arg_words +
                         costs.intra_ring_return + costs.software_ring_trap +
                         costs.software_ring_swap,
-                    "gate_crossing");
+                    ChargeKind::kGateCrossing);
   }
 }
 
@@ -293,7 +293,7 @@ Status Kernel::RunAs(Process& process) {
     return Status::kNoSuchProcess;
   }
   if (current_ != &process) {
-    machine_.Charge(machine_.costs().process_switch, "scheduler");
+    machine_.Charge(machine_.costs().process_switch, ChargeKind::kScheduler);
   }
   current_ = &process;
   // Bind the process to whichever CPU the traffic controller made active:

@@ -75,7 +75,7 @@ Result<Uid> Kernel::ResolvePathChecked(Process& caller, const std::string& path_
     if (!dir_branch->is_directory) {
       return Status::kNotADirectory;
     }
-    machine_.Charge(kPathComponentCycles, "kernel_path_walk");
+    machine_.Charge(kPathComponentCycles, ChargeKind::kKernelPathWalk);
     ++address_space_ops_;
     MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
                                                  caller.clearance(), kDirStatus, op,
@@ -403,7 +403,7 @@ Result<Word> Kernel::KernelReadWord(Process& process, SegNo segno, WordOffset of
     return Status::kOutOfRange;
   }
   MX_RETURN_IF_ERROR(page_control_->EnsureResident(seg, PageOf(offset), AccessMode::kRead));
-  machine_.Charge(machine_.costs().memory_reference, "memory_reference");
+  machine_.Charge(machine_.costs().memory_reference, ChargeKind::kMemoryReference);
   PageTableEntry& pte = seg->page_table.entries[PageOf(offset)];
   pte.used = true;
   return machine_.core().ReadWord(pte.frame, PageOffsetOf(offset));
@@ -419,7 +419,7 @@ Status Kernel::KernelWriteWord(Process& process, SegNo segno, WordOffset offset,
     return Status::kOutOfRange;
   }
   MX_RETURN_IF_ERROR(page_control_->EnsureResident(seg, PageOf(offset), AccessMode::kWrite));
-  machine_.Charge(machine_.costs().memory_reference, "memory_reference");
+  machine_.Charge(machine_.costs().memory_reference, ChargeKind::kMemoryReference);
   PageTableEntry& pte = seg->page_table.entries[PageOf(offset)];
   pte.used = true;
   pte.modified = true;

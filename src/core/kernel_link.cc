@@ -54,7 +54,7 @@ constexpr Cycles kLinkerCycles = 400;
 
 Result<uint32_t> Kernel::LinkSnapAll(Process& caller, SegNo object) {
   MX_ENTER_GATE(caller, GateId::kLinkSnapAll, 4);
-  machine_.Charge(kLinkerCycles, "kernel_linker");
+  machine_.Charge(kLinkerCycles, ChargeKind::kKernelLinker);
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, /*validate_input=*/false);
   auto result = linker.SnapAll(object);
@@ -70,7 +70,7 @@ Result<uint32_t> Kernel::LinkSnapAll(Process& caller, SegNo object) {
 Result<std::pair<SegNo, WordOffset>> Kernel::LinkSnapOne(Process& caller, SegNo object,
                                                          uint32_t index) {
   MX_ENTER_GATE(caller, GateId::kLinkSnapOne, 6);
-  machine_.Charge(kLinkerCycles, "kernel_linker");
+  machine_.Charge(kLinkerCycles, ChargeKind::kKernelLinker);
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, false);
   auto result = linker.SnapOne(object, index);
@@ -81,7 +81,7 @@ Result<std::pair<SegNo, WordOffset>> Kernel::LinkSnapOne(Process& caller, SegNo 
 Result<WordOffset> Kernel::LinkLookupSymbol(Process& caller, SegNo object,
                                             const std::string& symbol) {
   MX_ENTER_GATE(caller, GateId::kLinkLookupSymbol, 6);
-  machine_.Charge(kLinkerCycles / 2, "kernel_linker");
+  machine_.Charge(kLinkerCycles / 2, ChargeKind::kKernelLinker);
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, false);
   auto result = linker.LookupSymbol(object, symbol);
@@ -103,7 +103,7 @@ Result<uint32_t> Kernel::LinkGetEntryBound(Process& caller, SegNo object) {
 
 Result<std::vector<std::string>> Kernel::LinkGetDefs(Process& caller, SegNo object) {
   MX_ENTER_GATE(caller, GateId::kLinkGetDefs, 4);
-  machine_.Charge(kLinkerCycles / 2, "kernel_linker");
+  machine_.Charge(kLinkerCycles / 2, ChargeKind::kKernelLinker);
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, false);
   auto header = linker.Header(object);
@@ -127,7 +127,7 @@ Result<std::vector<std::string>> Kernel::LinkGetDefs(Process& caller, SegNo obje
 
 Status Kernel::LinkUnsnap(Process& caller, SegNo object) {
   MX_ENTER_GATE(caller, GateId::kLinkUnsnap, 4);
-  machine_.Charge(kLinkerCycles / 2, "kernel_linker");
+  machine_.Charge(kLinkerCycles / 2, ChargeKind::kKernelLinker);
   KernelLinkEnv env(this, &caller);
   Linker linker(&env, false);
   auto header = linker.Header(object);
@@ -150,7 +150,7 @@ Result<uint32_t> Kernel::CombineLinkage(Process& caller, const std::vector<SegNo
   MX_ENTER_GATE(caller, GateId::kCombineLinkage, 8);
   uint32_t snapped = 0;
   for (SegNo object : objects) {
-    machine_.Charge(kLinkerCycles, "kernel_linker");
+    machine_.Charge(kLinkerCycles, ChargeKind::kKernelLinker);
     KernelLinkEnv env(this, &caller);
     Linker linker(&env, false);
     auto result = linker.SnapAll(object);

@@ -64,8 +64,13 @@ void Machine::PostConnect(uint32_t cpu) {
   ++connects_posted_;
   connect_pending_[cpu] = 1;
   if (cpu_count_ > 1) {
-    Charge(config_.costs.connect_ipi, "smp_ipi");
-    if (meter_.enabled()) meter_.Count("smp/connect_ipis");
+    Charge(config_.costs.connect_ipi, ChargeKind::kSmpIpi);
+    if (meter_.enabled()) {
+      if (connect_ipis_id_ == kInvalidMeterId) {
+        connect_ipis_id_ = meter_.InternCounter("smp/connect_ipis");
+      }
+      meter_.Count(connect_ipis_id_);
+    }
   }
 }
 

@@ -21,7 +21,7 @@
 
 #include "src/base/clock.h"
 #include "src/base/event_queue.h"
-#include "src/base/stats.h"
+#include "src/hw/charge.h"
 #include "src/hw/core_memory.h"
 #include "src/hw/cost_model.h"
 #include "src/hw/injection.h"
@@ -121,7 +121,6 @@ class Machine {
 
   void PostConnect(uint32_t cpu);
   bool TakeConnect(uint32_t cpu);
-  bool ConnectPending(uint32_t cpu) const { return connect_pending_[cpu] != 0; }
   uint64_t connects_posted() const { return connects_posted_; }
   uint64_t connects_taken() const { return connects_taken_; }
 
@@ -140,11 +139,11 @@ class Machine {
 
   // --- Time accounting ------------------------------------------------------
 
-  // Charge `n` cycles under a named category to the active CPU. The
-  // categories feed the experiment harnesses (e.g. "ring_crossing",
-  // "page_io", "fault_path"). On a 1-CPU machine this is exactly the
-  // uniprocessor `clock().Advance(n)`.
-  void Charge(Cycles n, StaticName category) {
+  // Charge `n` cycles under a census category (src/hw/charge.h) to the
+  // active CPU. The categories feed the experiment harnesses (e.g.
+  // ChargeKind::kGateCrossing, kPageIo, kFaultPath). On a 1-CPU machine this
+  // is exactly the uniprocessor `clock().Advance(n)`.
+  void Charge(Cycles n, ChargeKind category) {
     if (cpu_count_ == 1) {
       clock_.Advance(n);
     } else {
@@ -197,6 +196,7 @@ class Machine {
   InterruptController interrupts_;
   CounterSet charges_;
   Meter meter_{&clock_};
+  MeterId connect_ipis_id_ = kInvalidMeterId;  // "smp/connect_ipis", on first IPI.
   FaultInjector* injector_ = nullptr;
   DsegEpochs dseg_epochs_;
 

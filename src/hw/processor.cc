@@ -70,7 +70,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
         InjectionDecision d = machine_->ConsultInjector(
             InjectSite::kMemoryAccess, "memory_reference", segno);
         if (d.IsFault()) {
-          if (d.delay > 0) machine_->Charge(d.delay, "fault_path");
+          if (d.delay > 0) machine_->Charge(d.delay, ChargeKind::kFaultPath);
           machine_->meter().Emit(TraceEventKind::kFaultTaken, "parity_fault", segno);
           return d.fault;
         }
@@ -79,7 +79,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
       if (mode == AccessMode::kWrite) {
         pte.modified = true;
       }
-      machine_->Charge(machine_->costs().memory_reference, "memory_reference");
+      machine_->Charge(machine_->costs().memory_reference, ChargeKind::kMemoryReference);
       return pte.frame;
     }
   }
@@ -93,7 +93,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
         return Status::kNoSuchSegment;
       }
       ++segment_faults_;
-      machine_->Charge(machine_->costs().fault_entry, "fault_path");
+      machine_->Charge(machine_->costs().fault_entry, ChargeKind::kFaultPath);
       machine_->meter().Emit(TraceEventKind::kFaultTaken, "segment_fault", segno);
       Status st = faults_->HandleSegmentFault(segno);
       if (st != Status::kOk) {
@@ -124,7 +124,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
         return Status::kInternal;
       }
       ++page_faults_;
-      machine_->Charge(machine_->costs().fault_entry, "fault_path");
+      machine_->Charge(machine_->costs().fault_entry, ChargeKind::kFaultPath);
       machine_->meter().Emit(TraceEventKind::kFaultTaken, "page_fault", segno);
       Status st = faults_->HandlePageFault(segno, PageOf(offset), mode);
       if (st != Status::kOk) {
@@ -145,7 +145,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
       InjectionDecision d = machine_->ConsultInjector(
           InjectSite::kMemoryAccess, "memory_reference", segno);
       if (d.IsFault()) {
-        if (d.delay > 0) machine_->Charge(d.delay, "fault_path");
+        if (d.delay > 0) machine_->Charge(d.delay, ChargeKind::kFaultPath);
         machine_->meter().Emit(TraceEventKind::kFaultTaken, "parity_fault", segno);
         return d.fault;
       }
@@ -155,7 +155,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
     if (mode == AccessMode::kWrite) {
       pte.modified = true;
     }
-    machine_->Charge(machine_->costs().memory_reference, "memory_reference");
+    machine_->Charge(machine_->costs().memory_reference, ChargeKind::kMemoryReference);
     return pte.frame;
   }
 }
@@ -193,7 +193,7 @@ Status Processor::Call(SegNo target, WordOffset entry_offset, uint32_t arg_words
         return Status::kNoSuchSegment;
       }
       ++segment_faults_;
-      machine_->Charge(machine_->costs().fault_entry, "fault_path");
+      machine_->Charge(machine_->costs().fault_entry, ChargeKind::kFaultPath);
       machine_->meter().Emit(TraceEventKind::kFaultTaken, "segment_fault", target);
       MX_RETURN_IF_ERROR(faults_->HandleSegmentFault(target));
       continue;
@@ -210,7 +210,7 @@ Status Processor::Call(SegNo target, WordOffset entry_offset, uint32_t arg_words
       case RingCheck::kAllowed: {
         // Intra-ring (or intra-bracket) call: no ring change.
         ++intra_ring_calls_;
-        machine_->Charge(costs.intra_ring_call, "call_intra");
+        machine_->Charge(costs.intra_ring_call, ChargeKind::kCallIntra);
         ring_stack_.push_back(ring_);
         return Status::kOk;
       }
@@ -224,14 +224,14 @@ Status Processor::Call(SegNo target, WordOffset entry_offset, uint32_t arg_words
           // Hardware rings: the call instruction validates the gate and
           // updates the ring register — no extra cost over a plain call.
           machine_->Charge(costs.intra_ring_call + costs.hardware_ring_call_extra,
-                           "call_cross");
+                           ChargeKind::kCallCross);
         } else {
           // 645: trap into the ring-simulation supervisor, validate, swap
           // descriptor segments, copy and validate arguments.
           Cycles total = costs.intra_ring_call + costs.software_ring_trap +
                          costs.software_ring_validate + costs.software_ring_swap +
                          costs.software_ring_arg_copy_per_word * arg_words;
-          machine_->Charge(total, "call_cross");
+          machine_->Charge(total, ChargeKind::kCallCross);
         }
         machine_->meter().Emit(TraceEventKind::kRingCrossing, "call_cross", new_ring);
         ring_stack_.push_back(ring_);
@@ -243,7 +243,7 @@ Status Processor::Call(SegNo target, WordOffset entry_offset, uint32_t arg_words
           return Status::kRingViolation;
         }
         ++cross_ring_calls_;
-        machine_->Charge(costs.intra_ring_call, "call_outward");
+        machine_->Charge(costs.intra_ring_call, ChargeKind::kCallOutward);
         machine_->meter().Emit(TraceEventKind::kRingCrossing, "call_outward",
                                sdw.brackets.write_limit);
         ring_stack_.push_back(ring_);
@@ -264,13 +264,14 @@ Status Processor::Return() {
   ring_stack_.pop_back();
   const CostModel& costs = machine_->costs();
   if (caller_ring == ring_) {
-    machine_->Charge(costs.intra_ring_return, "return_intra");
+    machine_->Charge(costs.intra_ring_return, ChargeKind::kReturnIntra);
   } else if (machine_->ring_mode() == RingMode::kHardware6180) {
-    machine_->Charge(costs.intra_ring_return + costs.hardware_ring_return_extra, "return_cross");
+    machine_->Charge(costs.intra_ring_return + costs.hardware_ring_return_extra,
+                     ChargeKind::kReturnCross);
   } else {
     machine_->Charge(costs.intra_ring_return + costs.software_ring_trap +
                          costs.software_ring_swap,
-                     "return_cross");
+                     ChargeKind::kReturnCross);
   }
   if (caller_ring != ring_) {
     machine_->meter().Emit(TraceEventKind::kRingCrossing, "return_cross", caller_ring);

@@ -137,7 +137,7 @@ void SimLock::Acquire() {
   CHECK(depth_ == 0) << "lock " << name_ << " acquired while held by CPU " << holder_cpu_;
   const bool smp = machine_->cpu_count() > 1;
   if (smp) {
-    machine_->Charge(machine_->costs().lock_acquire, "lock_overhead");
+    machine_->Charge(machine_->costs().lock_acquire, ChargeKind::kLockOverhead);
     Meter& meter = machine_->meter();
     if (meter.enabled()) {
       EnsureMeterIds(meter);
@@ -158,7 +158,7 @@ void SimLock::Release() {
   }
   const uint32_t cpu = machine_->active_cpu();
   if (machine_->cpu_count() > 1) {
-    machine_->Charge(machine_->costs().lock_release, "lock_overhead");
+    machine_->Charge(machine_->costs().lock_release, ChargeKind::kLockOverhead);
     const Cycles hold = machine_->local_now() - hold_start_;
     hold_cycles_ += hold;
     Meter& meter = machine_->meter();
@@ -230,7 +230,7 @@ void SimLock::PlaceHold(Cycles start, Cycles len) {
     const Cycles wait = placed - start;
     ++contentions_;
     wait_cycles_ += wait;
-    machine_->Charge(wait, "lock_wait");
+    machine_->Charge(wait, ChargeKind::kLockWait);
     Meter& meter = machine_->meter();
     if (meter.enabled()) {
       EnsureMeterIds(meter);

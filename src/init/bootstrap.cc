@@ -56,7 +56,7 @@ Result<InitReport> Bootstrap::Run(Kernel& kernel, const BootstrapOptions& option
   InitReport report;
   Machine& machine = kernel.machine();
   auto step = [&](const std::string& name, Cycles cost) {
-    machine.Charge(cost, "ring0_init");
+    machine.Charge(cost, ChargeKind::kRing0Init);
     ++report.privileged_steps;
     report.ring0_cycles += cost;
     report.step_names.push_back(name);

@@ -107,7 +107,7 @@ Result<InitReport> MemoryImage::Load(Kernel& fresh, const SystemImage& image) {
   InitReport report;
   Machine& machine = fresh.machine();
   auto step = [&](const std::string& name, Cycles cost) {
-    machine.Charge(cost, "ring0_init");
+    machine.Charge(cost, ChargeKind::kRing0Init);
     ++report.privileged_steps;
     report.ring0_cycles += cost;
     report.step_names.push_back(name);
@@ -148,7 +148,7 @@ Result<InitReport> MemoryImage::Load(Kernel& fresh, const SystemImage& image) {
         MX_RETURN_IF_ERROR(PokeWord(fresh, uid, offset, word));
       }
       // The copy loop's cost is data movement, not mechanism.
-      machine.Charge(record.content.size(), "image_copy");
+      machine.Charge(record.content.size(), ChargeKind::kImageCopy);
     }
   }
 

@@ -46,7 +46,7 @@ class PageControlBase : public PageControl {
   bool PopBulkResident(ActiveSegment** seg, PageNo* page);
 
   // Charges CPU time for a protected page-control step.
-  void ChargeStep(StaticName category, Cycles cycles = 40);
+  void ChargeStep(ChargeKind category, Cycles cycles = 40);
 
   // Synchronous transfers with the page-table lock suspended for the wait:
   // on the multiprocessor another CPU may enter page control while this one
@@ -61,6 +61,9 @@ class PageControlBase : public PageControl {
   PagingDevice* bulk_;
   PagingDevice* disk_;
   ReplacementPolicy* policy_;
+  // The "page/fault_service" span distribution, interned on the first
+  // metered fault.
+  MeterId fault_service_dist_ = kInvalidMeterId;
 
   // FIFO of pages currently on the bulk store (move victims).
   std::deque<std::pair<ActiveSegment*, PageNo>> bulk_residents_;

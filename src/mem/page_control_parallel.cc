@@ -40,9 +40,9 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
   // The causal span covers the whole fault service, including daemon work
   // pumped from WaitFor: those callbacks run within this window, so their
   // events nest under this span in the attribution profile.
-  TraceSpan fault_span(&machine_->meter(), "page/fault_service", page);
+  TraceSpan fault_span(&machine_->meter(), "page/fault_service", fault_service_dist_, page);
   const Cycles start = machine_->local_now();
-  ChargeStep("page_control_cpu", 30);  // The whole fault path: wait + initiate.
+  ChargeStep(ChargeKind::kPageControlCpu, 30);  // The whole fault path: wait + initiate.
 
   // The daemons run concurrently with this fault, so the page's location can
   // change while we wait for a frame; the loop re-examines it each time.
@@ -194,13 +194,13 @@ void ParallelPageControl::WakeCoreDaemon() {
   core_daemon_running_ = true;
   ++core_daemon_wakeups_;
   machine_->meter().Emit(TraceEventKind::kDaemonWakeup, "free_core_daemon");
-  machine_->Charge(machine_->costs().wakeup, "ipc");
+  machine_->Charge(machine_->costs().wakeup, ChargeKind::kIpc);
   machine_->events().ScheduleAfter(machine_->costs().vp_switch, [this] { CoreDaemonStep(); });
 }
 
 void ParallelPageControl::CoreDaemonStep() {
   LockGuard page_table(machine_->locks().PageTable());
-  machine_->charges_mutable().Increment("daemon_cpu", 60);
+  machine_->charges_mutable().Increment(ChargeKind::kDaemonCpu, 60);
   while (core_map_->free_count() + evictions_in_flight_ < config_.core_high_water) {
     FrameIndex victim = policy_->SelectVictim(*core_map_);
     if (victim == kInvalidFrame) {
@@ -308,13 +308,13 @@ void ParallelPageControl::WakeBulkDaemon() {
   bulk_daemon_running_ = true;
   ++bulk_daemon_wakeups_;
   machine_->meter().Emit(TraceEventKind::kDaemonWakeup, "free_bulk_daemon");
-  machine_->Charge(machine_->costs().wakeup, "ipc");
+  machine_->Charge(machine_->costs().wakeup, ChargeKind::kIpc);
   machine_->events().ScheduleAfter(machine_->costs().vp_switch, [this] { BulkDaemonStep(); });
 }
 
 void ParallelPageControl::BulkDaemonStep() {
   LockGuard page_table(machine_->locks().PageTable());
-  machine_->charges_mutable().Increment("daemon_cpu", 60);
+  machine_->charges_mutable().Increment(ChargeKind::kDaemonCpu, 60);
   while (bulk_->free_pages() + bulk_moves_in_flight_ < config_.bulk_high_water) {
     ActiveSegment* seg = nullptr;
     PageNo page = 0;

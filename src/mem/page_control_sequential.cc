@@ -19,16 +19,16 @@ Status SequentialPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Ac
   // synchronous transfers inside suspend it (ReadSyncUnlocked) so only the
   // bookkeeping serializes across CPUs.
   LockGuard page_table(machine_->locks().PageTable());
-  TraceSpan fault_span(&machine_->meter(), "page/fault_service", page);
+  TraceSpan fault_span(&machine_->meter(), "page/fault_service", fault_service_dist_, page);
   const Cycles start = machine_->local_now();
   uint32_t steps = 1;  // Fault analysis + fetch initiation.
-  ChargeStep("page_control_cpu");
+  ChargeStep(ChargeKind::kPageControlCpu);
 
   // Step 1: get a free frame, evicting (and possibly cascading) inline.
   auto frame = core_map_->AllocateFree();
   if (!frame.ok()) {
     ++steps;  // The eviction step, executed by this process.
-    ChargeStep("page_control_cpu");
+    ChargeStep(ChargeKind::kPageControlCpu);
     FrameIndex victim = policy_->SelectVictim(*core_map_);
     if (victim == kInvalidFrame) {
       return Status::kResourceExhausted;
@@ -37,7 +37,7 @@ Status SequentialPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Ac
     MX_RETURN_IF_ERROR(EvictCorePageSync(victim, &cascaded));
     if (cascaded) {
       ++steps;  // The bulk-to-disk move, also executed by this process.
-      ChargeStep("page_control_cpu");
+      ChargeStep(ChargeKind::kPageControlCpu);
     }
     frame = core_map_->AllocateFree();
     if (!frame.ok()) {

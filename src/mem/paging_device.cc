@@ -71,7 +71,7 @@ Status PagingDevice::ReadSync(DevAddr addr, std::vector<Word>* out) {
     ++reads_;
     machine_->SyncTransfer(machine_->costs().io_start_overhead + read_latency_,
                            &read_busy_until_);
-    machine_->charges_mutable().Increment("page_io", read_latency_);
+    machine_->charges_mutable().Increment(ChargeKind::kPageIo, read_latency_);
     Status fault = ConsultTransfer(InjectSite::kDeviceRead, addr);
     if (fault == Status::kOk) {
       auto it = store_.find(addr);
@@ -87,7 +87,7 @@ Status PagingDevice::ReadSync(DevAddr addr, std::vector<Word>* out) {
       return fault;
     }
     ++retries_;
-    machine_->Charge(BackoffFor(attempt), "fault_recovery");
+    machine_->Charge(BackoffFor(attempt), ChargeKind::kFaultRecovery);
   }
 }
 
@@ -99,7 +99,7 @@ Status PagingDevice::WriteSync(DevAddr addr, std::vector<Word> data) {
     ++writes_;
     machine_->SyncTransfer(machine_->costs().io_start_overhead + write_latency_,
                            &write_busy_until_);
-    machine_->charges_mutable().Increment("page_io", write_latency_);
+    machine_->charges_mutable().Increment(ChargeKind::kPageIo, write_latency_);
     Status fault = ConsultTransfer(InjectSite::kDeviceWrite, addr);
     if (fault == Status::kOk) {
       store_[addr] = std::move(data);
@@ -110,7 +110,7 @@ Status PagingDevice::WriteSync(DevAddr addr, std::vector<Word> data) {
       return fault;
     }
     ++retries_;
-    machine_->Charge(BackoffFor(attempt), "fault_recovery");
+    machine_->Charge(BackoffFor(attempt), ChargeKind::kFaultRecovery);
   }
 }
 
@@ -121,13 +121,13 @@ void PagingDevice::StartRead(DevAddr addr, std::function<void(Status, std::vecto
   const Cycles when = ScheduleTransfer(read_latency_, channel);
   machine_->events().ScheduleAt(when, [this, addr, done = std::move(done), urgent,
                                        attempt]() mutable {
-    machine_->charges_mutable().Increment("page_io", read_latency_);
+    machine_->charges_mutable().Increment(ChargeKind::kPageIo, read_latency_);
     Status fault = ConsultTransfer(InjectSite::kDeviceRead, addr);
     if (fault != Status::kOk) {
       if (attempt < kMaxTransferAttempts) {
         ++retries_;
         const Cycles backoff = BackoffFor(attempt);
-        machine_->charges_mutable().Increment("fault_recovery", backoff);
+        machine_->charges_mutable().Increment(ChargeKind::kFaultRecovery, backoff);
         machine_->events().ScheduleAfter(
             backoff, [this, addr, done = std::move(done), urgent, attempt]() mutable {
               StartRead(addr, std::move(done), urgent, attempt + 1);
@@ -161,13 +161,13 @@ void PagingDevice::StartWrite(DevAddr addr, std::vector<Word> data,
   const Cycles when = ScheduleTransfer(write_latency_, &write_busy_until_);
   machine_->events().ScheduleAt(
       when, [this, addr, data = std::move(data), done = std::move(done), attempt]() mutable {
-        machine_->charges_mutable().Increment("page_io", write_latency_);
+        machine_->charges_mutable().Increment(ChargeKind::kPageIo, write_latency_);
         Status fault = ConsultTransfer(InjectSite::kDeviceWrite, addr);
         if (fault != Status::kOk) {
           if (attempt < kMaxTransferAttempts) {
             ++retries_;
             const Cycles backoff = BackoffFor(attempt);
-            machine_->charges_mutable().Increment("fault_recovery", backoff);
+            machine_->charges_mutable().Increment(ChargeKind::kFaultRecovery, backoff);
             machine_->events().ScheduleAfter(
                 backoff,
                 [this, addr, data = std::move(data), done = std::move(done), attempt]() mutable {
@@ -219,19 +219,6 @@ void PagingDevice::ReadAsyncUrgent(DevAddr addr,
     return;
   }
   StartRead(addr, std::move(done), /*urgent=*/true, /*attempt=*/1);
-}
-
-Status PagingDevice::Peek(DevAddr addr, std::vector<Word>* out) const {
-  if (addr >= capacity_) {
-    return Status::kInvalidArgument;
-  }
-  auto it = store_.find(addr);
-  if (it == store_.end()) {
-    out->assign(kPageWords, 0);
-  } else {
-    *out = it->second;
-  }
-  return Status::kOk;
 }
 
 Status PagingDevice::Poke(DevAddr addr, std::vector<Word> data) {

@@ -88,8 +88,7 @@ class PagingDevice {
   uint64_t retries() const { return retries_; }
   uint64_t failed_transfers() const { return failed_transfers_; }
 
-  // Direct slot access without latency, for the image loader / tests.
-  Status Peek(DevAddr addr, std::vector<Word>* out) const;
+  // Direct slot write without latency, for the image loader / tests.
   Status Poke(DevAddr addr, std::vector<Word> data);
 
   // A transfer is attempted at most this many times (1 initial + retries).

@@ -13,12 +13,12 @@ void PageMechanismGates::ChargeCrossing() {
   if (machine_->ring_mode() == RingMode::kHardware6180) {
     machine_->Charge(costs.intra_ring_call + costs.hardware_ring_call_extra +
                          costs.intra_ring_return,
-                     "policy_gate");
+                     ChargeKind::kPolicyGate);
   } else {
     machine_->Charge(costs.intra_ring_call + costs.software_ring_trap +
                          costs.software_ring_validate + costs.software_ring_swap +
                          costs.intra_ring_return,
-                     "policy_gate");
+                     ChargeKind::kPolicyGate);
   }
 }
 

@@ -250,8 +250,8 @@ void Meter::Clear() {
   next_span_id_ = 1;
 }
 
-TraceSpan::TraceSpan(Meter* meter, StaticName name, uint64_t arg)
-    : meter_(meter != nullptr && meter->enabled() ? meter : nullptr), name_(name) {
+TraceSpan::TraceSpan(Meter* meter, StaticName name, MeterId& dist, uint64_t arg)
+    : meter_(meter != nullptr && meter->enabled() ? meter : nullptr), name_(name), dist_(dist) {
   if (meter_ == nullptr) {
     return;
   }
@@ -263,7 +263,10 @@ TraceSpan::~TraceSpan() {
     return;
   }
   const Cycles elapsed = meter_->CloseSpan(ctx_, TraceEventKind::kSpanEnd);
-  meter_->AddSample(meter_->DistIdForStatic(name_), static_cast<double>(elapsed));
+  if (dist_ == kInvalidMeterId) {
+    dist_ = meter_->InternDistribution(name_.c_str());
+  }
+  meter_->AddSample(dist_, static_cast<double>(elapsed));
 }
 
 }  // namespace multics

@@ -3,8 +3,9 @@
 // One Meter lives on the Machine, so every layer — processor, page control,
 // traffic controller, gate layer, network — records into the same place.
 // Four kinds of data:
-//   * named monotonic counters (Count),
-//   * named cycle Distributions (AddSample) — e.g. one histogram per gate,
+//   * named monotonic counters (Count by MeterId),
+//   * named cycle Distributions (AddSample by MeterId) — e.g. one histogram
+//     per gate,
 //   * structured TraceEvents in the bounded FlightRecorder (Emit), plus a
 //     per-kind event total kept in a flat array,
 //   * a causal cycle-attribution profile folded from closed spans
@@ -25,17 +26,20 @@
 // cannot change what any bench measures. When disabled every entry point is
 // a single predictable branch; names are compared/stored only when enabled.
 //
-// Hot-path layout (ROADMAP item 3): names intern to dense MeterIds at first
-// registration — a name-sorted index maps name -> id, values live in flat
+// Hot-path layout: every counter and distribution name interns to a dense
+// MeterId — a name-sorted index maps name -> id, values live in flat
 // id-indexed cells — so recording through an id is an array add with no map
-// walk and no string construction. A name is either a StaticName (a
-// literal, whose id is cached by pointer) or a dynamic per-object name (each
-// SimLock, each gate), interned once and recorded by id forever after. The
-// profile interns call paths the same way: each SpanFrame carries the id of its
-// path (parent path + name pointer), so a span close is a hash probe and
-// three adds instead of rebuilding a ';'-joined string. Everything exported
-// still reads from the name-sorted index, so output stays byte-identical
-// with the pre-interning std::map implementation.
+// walk and no string construction. The owner of a name holds its id: a
+// fixed name ("ipc/receives", "page/fault_service") and a dynamic
+// per-object name (each SimLock, each gate) alike are interned once, lazily
+// on the first record, and recorded by id forever after, so a world that
+// never records never interns. The profile interns call paths the same way:
+// each SpanFrame carries the id of its path (parent path + name pointer), so
+// a span close is a hash probe and three adds instead of rebuilding a
+// ';'-joined string. Everything exported still reads from the name-sorted
+// index, so output stays byte-identical with the pre-interning std::map
+// implementation. StaticName is only for names the recorder and the span
+// stack keep by pointer (Emit, OpenSpan, TraceSpan).
 //
 // Determinism: everything is stamped with the sim clock and stored in
 // deterministic containers, so two same-seed runs export byte-identical
@@ -96,33 +100,9 @@ class Meter {
   Cycles now() const { return clock_->now(); }
 
   // --- Recording (all no-ops while disabled) -------------------------------
-  // Static-name paths: the name's pointer caches its interned id, so the
-  // steady state is an array add with no name search. A cold pointer falls
-  // back to interning by contents, so a miss is only slow, never wrong.
-  void Count(StaticName name, uint64_t delta = 1) {
-    if (!enabled_) {
-      return;
-    }
-    uint32_t id = counter_ptr_cache_.Lookup(name);
-    if (id == StaticNameCache::kMiss) {
-      id = InternCounter(name.c_str());
-      counter_ptr_cache_.Insert(name, id);
-    }
-    CounterCell& cell = counter_cells_[id];
-    cell.value += delta;
-    cell.touched = true;
-  }
-  void AddSample(StaticName name, double sample) {
-    if (!enabled_) {
-      return;
-    }
-    dist_cells_[DistIdForStatic(name)]->Add(sample);
-  }
-
-  // Interned paths, for dynamic names. Interning registers the name
-  // (idempotent, allowed any time, even while disabled — a
-  // registered-but-never-recorded name is invisible to every export);
-  // recording by id is an array add.
+  // Interning registers the name (idempotent, allowed any time, even while
+  // disabled — a registered-but-never-recorded name is invisible to every
+  // export); recording by id is an array add.
   MeterId InternCounter(std::string_view name);
   MeterId InternDistribution(std::string_view name);
   void Count(MeterId id, uint64_t delta = 1) {
@@ -139,18 +119,6 @@ class Meter {
     }
     dist_cells_[id]->Add(sample);
   }
-  // Interned-id lookup for a static distribution name (the pointer is
-  // cached). Lets TraceSpan record by id without each call site holding a
-  // MeterId.
-  MeterId DistIdForStatic(StaticName name) {
-    uint32_t id = dist_ptr_cache_.Lookup(name);
-    if (id == StaticNameCache::kMiss) {
-      id = InternDistribution(name.c_str());
-      dist_ptr_cache_.Insert(name, id);
-    }
-    return id;
-  }
-
   // The recorder keeps `name`'s pointer, not a copy.
   void Emit(TraceEventKind kind, StaticName name, uint64_t arg = 0);
 
@@ -280,14 +248,12 @@ class Meter {
   FlightRecorder recorder_;
   std::array<uint64_t, kTraceEventKindCount> kind_totals_{};
 
-  // mx:hot-path:begin — id-indexed cells and interning caches; every
+  // mx:hot-path:begin — id-indexed cells and the path interner; every
   // Count/AddSample/span-close lands here. No std::map, no string rebuild.
   std::vector<std::pair<std::string, MeterId>> counter_names_;  // Name-sorted.
   std::vector<CounterCell> counter_cells_;                      // Id-indexed.
   std::vector<std::pair<std::string, MeterId>> dist_names_;     // Name-sorted.
   std::vector<std::unique_ptr<Distribution>> dist_cells_;       // Stable ptrs.
-  StaticNameCache dist_ptr_cache_;  // Static-name pointer -> distribution id.
-  StaticNameCache counter_ptr_cache_;  // Static-name pointer -> counter id.
   std::vector<PathNode> paths_;  // [0] is the empty root path.
   std::unordered_map<PathKey, uint32_t, PathKeyHash> path_ids_;
   // Open-addressed CellKey -> profile cell index: power-of-two, linear
@@ -318,12 +284,14 @@ class Meter {
 // RAII helper for nested durations: opens a causal span (kSpanBegin) on
 // construction and closes it (kSpanEnd, arg = elapsed cycles) on
 // destruction, adding the elapsed cycles to the distribution named `name`.
-// The enabled check happens once, at construction; a span on a disabled
-// meter costs two null checks. The span remembers which context it opened
-// on, so it closes correctly even if the dispatcher switched contexts.
+// `dist` is that distribution's id, held by the span's owner: it starts as
+// kInvalidMeterId and the first recorded close interns it. The enabled check
+// happens once, at construction; a span on a disabled meter costs two null
+// checks. The span remembers which context it opened on, so it closes
+// correctly even if the dispatcher switched contexts.
 class TraceSpan {
  public:
-  TraceSpan(Meter* meter, StaticName name, uint64_t arg = 0);
+  TraceSpan(Meter* meter, StaticName name, MeterId& dist, uint64_t arg = 0);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -333,6 +301,7 @@ class TraceSpan {
   Meter* meter_;  // Null when the meter was disabled at construction.
   TraceContext* ctx_ = nullptr;
   StaticName name_;
+  MeterId& dist_;
 };
 
 }  // namespace multics

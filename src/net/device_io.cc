@@ -27,7 +27,7 @@ Status ConsultPeripheral(Machine* machine, InjectSite site, const char* name,
       return Status::kOk;
     }
     if (attempt < kMaxPeripheralAttempts) {
-      machine->Charge(retry_cost, "fault_recovery");
+      machine->Charge(retry_cost, ChargeKind::kFaultRecovery);
     }
   }
   return fault;
@@ -40,7 +40,7 @@ Status ConsultPeripheral(Machine* machine, InjectSite site, const char* name,
 TtyLine::TtyLine(Machine* machine, InterruptLine line) : machine_(machine), line_(line) {}
 
 void TtyLine::TypeCharacter(char c) {
-  machine_->Charge(kTtyCharCycles, "device_io");
+  machine_->Charge(kTtyCharCycles, ChargeKind::kDeviceIo);
   if (c == '#') {
     // Erase: delete the previous character.
     if (!partial_.empty()) {
@@ -78,7 +78,7 @@ Result<std::string> TtyLine::ReadLine() {
 Status TtyLine::WriteString(const std::string& text) {
   MX_RETURN_IF_ERROR(ConsultPeripheral(machine_, InjectSite::kDeviceWrite, "tty", line_,
                                        kTtyCharCycles));
-  machine_->Charge(kTtyCharCycles * text.size(), "device_io");
+  machine_->Charge(kTtyCharCycles * text.size(), ChargeKind::kDeviceIo);
   echoed_ += text;
   return Status::kOk;
 }
@@ -99,7 +99,7 @@ Result<std::string> CardReader::ReadCard() {
   }
   MX_RETURN_IF_ERROR(ConsultPeripheral(machine_, InjectSite::kDeviceRead, "card-reader",
                                        deck_.size(), kCardCycles));
-  machine_->Charge(kCardCycles, "device_io");
+  machine_->Charge(kCardCycles, ChargeKind::kDeviceIo);
   std::string card = deck_.front();
   deck_.pop_front();
   card.resize(kCardColumns, ' ');
@@ -113,7 +113,7 @@ LinePrinter::LinePrinter(Machine* machine) : machine_(machine) {}
 Status LinePrinter::PrintLine(const std::string& text) {
   MX_RETURN_IF_ERROR(ConsultPeripheral(machine_, InjectSite::kDeviceWrite, "printer",
                                        lines_printed_, kPrintLineCycles));
-  machine_->Charge(kPrintLineCycles, "device_io");
+  machine_->Charge(kPrintLineCycles, ChargeKind::kDeviceIo);
   std::string line = text.substr(0, kPrinterColumns);
   output_.push_back(line);
   ++lines_printed_;
@@ -124,7 +124,7 @@ Status LinePrinter::PrintLine(const std::string& text) {
 }
 
 Status LinePrinter::EjectPage() {
-  machine_->Charge(kPrintLineCycles * 3, "device_io");
+  machine_->Charge(kPrintLineCycles * 3, ChargeKind::kDeviceIo);
   line_on_page_ = 0;
   ++pages_;
   return Status::kOk;
@@ -137,7 +137,7 @@ TapeDrive::TapeDrive(Machine* machine) : machine_(machine) {}
 Status TapeDrive::WriteRecord(const std::string& data) {
   MX_RETURN_IF_ERROR(ConsultPeripheral(machine_, InjectSite::kDeviceWrite, "tape", position_,
                                        kTapeRecordCycles));
-  machine_->Charge(kTapeRecordCycles, "device_io");
+  machine_->Charge(kTapeRecordCycles, ChargeKind::kDeviceIo);
   // Writing in the middle truncates everything after, as real tape does.
   records_.resize(position_);
   records_.push_back(data);
@@ -151,18 +151,18 @@ Result<std::string> TapeDrive::ReadRecord() {
   }
   MX_RETURN_IF_ERROR(ConsultPeripheral(machine_, InjectSite::kDeviceRead, "tape", position_,
                                        kTapeRecordCycles));
-  machine_->Charge(kTapeRecordCycles, "device_io");
+  machine_->Charge(kTapeRecordCycles, ChargeKind::kDeviceIo);
   return records_[position_++];
 }
 
 Status TapeDrive::Rewind() {
-  machine_->Charge(kTapeRecordCycles * 4, "device_io");
+  machine_->Charge(kTapeRecordCycles * 4, ChargeKind::kDeviceIo);
   position_ = 0;
   return Status::kOk;
 }
 
 Status TapeDrive::SkipRecords(uint32_t n) {
-  machine_->Charge(kTapeRecordCycles, "device_io");
+  machine_->Charge(kTapeRecordCycles, ChargeKind::kDeviceIo);
   if (position_ + n > records_.size()) {
     return Status::kOutOfRange;
   }

@@ -28,7 +28,7 @@ Status NetworkAttachment::Send(ConnId conn, const std::string& data) {
     return Status::kConnectionClosed;
   }
   ++packets_out_;
-  machine_->Charge(machine_->costs().instruction * 20, "net_cpu");
+  machine_->Charge(machine_->costs().instruction * 20, ChargeKind::kNetCpu);
   machine_->meter().Emit(TraceEventKind::kPacketOut, "packet_out", conn);
   // Deliver to the remote sink after the wire latency.
   auto sink = it->second.remote_sink;
@@ -43,7 +43,7 @@ Result<NetMessage> NetworkAttachment::Receive(ConnId conn) {
   if (it == connections_.end()) {
     return Status::kConnectionClosed;
   }
-  machine_->Charge(machine_->costs().instruction * 10, "net_cpu");
+  machine_->Charge(machine_->costs().instruction * 10, ChargeKind::kNetCpu);
   return it->second.buffer->Dequeue();
 }
 
@@ -62,7 +62,7 @@ Status NetworkAttachment::InjectFromRemote(ConnId conn, const std::string& data)
   machine_->events().ScheduleAfter(config_.packet_latency, [this, conn, data] {
     // Delivery runs off the event queue under whatever context pumped it;
     // the span keeps arrival + interrupt assertion attributed as one unit.
-    TraceSpan deliver_span(&machine_->meter(), "net/deliver", conn);
+    TraceSpan deliver_span(&machine_->meter(), "net/deliver", deliver_dist_, conn);
     auto it = connections_.find(conn);
     if (it == connections_.end()) {
       ++lost_on_closed_;

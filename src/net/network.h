@@ -35,7 +35,6 @@ class NetworkAttachment {
   // Opens a connection to `remote` with the supplied input buffer.
   Result<ConnId> Open(const std::string& remote, std::unique_ptr<InputBuffer> buffer);
   Status Close(ConnId conn);
-  bool IsOpen(ConnId conn) const { return connections_.contains(conn); }
 
   // Local side.
   Status Send(ConnId conn, const std::string& data);
@@ -68,6 +67,7 @@ class NetworkAttachment {
   uint64_t packets_in_ = 0;
   uint64_t packets_out_ = 0;
   uint64_t lost_on_closed_ = 0;
+  MeterId deliver_dist_ = kInvalidMeterId;  // "net/deliver", on first metered delivery.
 };
 
 }  // namespace multics

@@ -1,8 +1,16 @@
 #include "src/proc/ipc.h"
 
-#include "src/meter/meter.h"
-
 namespace multics {
+
+void EventChannelTable::Count(MeterId& id, std::string_view name) {
+  if (meter_ == nullptr || !meter_->enabled()) {
+    return;
+  }
+  if (id == kInvalidMeterId) {
+    id = meter_->InternCounter(name);
+  }
+  meter_->Count(id);
+}
 
 ChannelId EventChannelTable::Create(ProcessId owner, uint64_t guard_uid) {
   ChannelId id = next_id_++;
@@ -10,9 +18,7 @@ ChannelId EventChannelTable::Create(ProcessId owner, uint64_t guard_uid) {
   channel->owner = owner;
   channel->guard_uid = guard_uid;
   slots_.push_back(std::move(channel));
-  if (meter_ != nullptr) {
-    meter_->Count("ipc/channels_created");
-  }
+  Count(m_channels_created_, "ipc/channels_created");
   return id;
 }
 
@@ -48,9 +54,7 @@ Result<ProcessId> EventChannelTable::Wakeup(ChannelId id, EventMessage message) 
   }
   channel->queue.push_back(message);
   ++total_wakeups_;
-  if (meter_ != nullptr) {
-    meter_->Count("ipc/wakeups_queued");
-  }
+  Count(m_wakeups_queued_, "ipc/wakeups_queued");
   ProcessId waiter = channel->waiter;
   channel->waiter = kNoProcess;
   return waiter;
@@ -66,9 +70,7 @@ Result<EventMessage> EventChannelTable::TryReceive(ChannelId id) {
   }
   EventMessage message = channel->queue.front();
   channel->queue.pop_front();
-  if (meter_ != nullptr) {
-    meter_->Count("ipc/receives");
-  }
+  Count(m_receives_, "ipc/receives");
   return message;
 }
 
@@ -91,15 +93,6 @@ Status EventChannelTable::SetWaiter(ChannelId id, ProcessId waiter) {
     return Status::kNoSuchChannel;
   }
   channel->waiter = waiter;
-  return Status::kOk;
-}
-
-Status EventChannelTable::ClearWaiter(ChannelId id) {
-  Channel* channel = Find(id);
-  if (channel == nullptr) {
-    return Status::kNoSuchChannel;
-  }
-  channel->waiter = kNoProcess;
   return Status::kOk;
 }
 

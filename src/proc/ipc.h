@@ -13,13 +13,13 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/meter/meter.h"
 
 namespace multics {
-
-class Meter;
 
 using ChannelId = uint64_t;
 using ProcessId = uint64_t;
@@ -34,7 +34,7 @@ class EventChannelTable {
  public:
   // Optional metering hook (the traffic controller attaches the machine's
   // meter): channel creations, queued wakeups, and receives are counted
-  // under "ipc/...".
+  // under "ipc/...", each by a MeterId interned on its first count.
   void AttachMeter(Meter* meter) { meter_ = meter; }
 
   // Creates a channel owned by `owner`, guarded by segment `guard_uid`
@@ -55,9 +55,8 @@ class EventChannelTable {
   bool HasEvents(ChannelId id) const;
   Result<uint64_t> QueueLength(ChannelId id) const;
 
-  // Registers/clears the single blocked waiter.
+  // Registers the single blocked waiter.
   Status SetWaiter(ChannelId id, ProcessId waiter);
-  Status ClearWaiter(ChannelId id);
 
   uint64_t total_wakeups() const { return total_wakeups_; }
 
@@ -80,7 +79,13 @@ class EventChannelTable {
     return id >= 1 && id <= slots_.size() ? slots_[id - 1].get() : nullptr;
   }
 
+  // Counts under `id`, interning `name` into it on the first count.
+  void Count(MeterId& id, std::string_view name);
+
   Meter* meter_ = nullptr;
+  MeterId m_channels_created_ = kInvalidMeterId;
+  MeterId m_wakeups_queued_ = kInvalidMeterId;
+  MeterId m_receives_ = kInvalidMeterId;
   std::vector<std::unique_ptr<Channel>> slots_;
   ChannelId next_id_ = 1;
   uint64_t total_wakeups_ = 0;

@@ -10,7 +10,7 @@ namespace multics {
 
 Machine& TaskContext::machine() { return *controller_->machine_; }
 
-void TaskContext::Charge(Cycles n, StaticName category) {
+void TaskContext::Charge(Cycles n, ChargeKind category) {
   controller_->machine_->Charge(n, category);
   self_->accounting().cpu_used += n;
 }
@@ -25,7 +25,7 @@ bool TaskContext::Await(ChannelId channel) {
   }
   (void)controller_->channels_.SetWaiter(channel, self_->pid());
   self_->set_blocked_on(channel);
-  machine->Charge(machine->costs().block, "ipc");
+  machine->Charge(machine->costs().block, ChargeKind::kIpc);
   machine->meter().Emit(TraceEventKind::kIpcBlock, "ipc_block", channel);
   return false;
 }
@@ -259,7 +259,7 @@ Status TrafficController::Wakeup(ChannelId channel, EventMessage message) {
   if (!waiter.ok()) {
     return waiter.status();
   }
-  machine_->Charge(machine_->costs().wakeup, "ipc");
+  machine_->Charge(machine_->costs().wakeup, ChargeKind::kIpc);
   machine_->meter().Emit(TraceEventKind::kIpcWakeup, "ipc_wakeup", channel);
   if (waiter.value() != kNoProcess) {
     if (Process* process = Find(waiter.value()); process != nullptr) {
@@ -314,7 +314,7 @@ void TrafficController::DispatchPendingInterrupts() {
       // The handler inhabits whatever process was running: its full body
       // executes now, on the interrupted VP, and the victim pays.
       machine_->Charge(costs.interrupt_entry + spec.work + costs.interrupt_exit,
-                       "interrupt_inline");
+                       ChargeKind::kInterruptInline);
       if (last_running_ != nullptr) {
         last_running_->accounting().stolen_by_interrupts +=
             costs.interrupt_entry + spec.work + costs.interrupt_exit;
@@ -326,7 +326,7 @@ void TrafficController::DispatchPendingInterrupts() {
     } else {
       // The interceptor just turns the interrupt into a wakeup; the handler
       // process does the work on its own virtual processor.
-      machine_->Charge(costs.interrupt_entry, "interrupt_intercept");
+      machine_->Charge(costs.interrupt_entry, ChargeKind::kInterruptIntercept);
       (void)Wakeup(spec.channel, EventMessage{ev.asserted_at, kNoProcess});
     }
   }
@@ -536,7 +536,7 @@ bool TrafficController::RunSlice() {
   const bool switched = next != LastOn(cpu);
   if (switched) {
     ++context_switches_;
-    machine_->Charge(machine_->costs().process_switch, "scheduler");
+    machine_->Charge(machine_->costs().process_switch, ChargeKind::kScheduler);
   }
   SetLastOn(cpu, next);
   last_running_ = next;

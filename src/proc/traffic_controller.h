@@ -70,7 +70,7 @@ class TaskContext {
   TrafficController& controller() { return *controller_; }
 
   // CPU time consumed by this step.
-  void Charge(Cycles n, StaticName category = "task_cpu");
+  void Charge(Cycles n, ChargeKind category = ChargeKind::kTaskCpu);
 
   // Attempts to receive from `channel`. On success the message is available
   // via last_message() and the task continues. On failure the task is

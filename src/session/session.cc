@@ -46,7 +46,7 @@ TaskState SessionTask::Abort(TaskContext& ctx) {
 
 TaskState SessionTask::DoSetup(TaskContext& ctx) {
   Process& self = ctx.self();
-  ctx.Charge(200, "session_setup");
+  ctx.Charge(200, ChargeKind::kSessionSetup);
   auto root = kernel_->RootDir(self);
   if (!root.ok()) {
     return Abort(ctx);
@@ -120,7 +120,7 @@ TaskState SessionTask::DoInteract(TaskContext& ctx) {
   if (kernel_->RunAs(self) != Status::kOk) {
     return Abort(ctx);
   }
-  ctx.Charge(params_->edit_cost, "session_edit");
+  ctx.Charge(params_->edit_cost, ChargeKind::kSessionEdit);
   if (rng_.NextBool(0.75)) {
     // Edit: page through a popular library segment, then save into scratch.
     const uint64_t rank = rng_.NextZipf(params_->hot_segments, params_->zipf_s);
@@ -152,7 +152,7 @@ TaskState SessionTask::DoCompile(TaskContext& ctx) {
   // One burst per dispatch: the scheduler sees a CPU-bound process and sinks
   // it level by level, which is the whole point of the feedback queues.
   Process& self = ctx.self();
-  ctx.Charge(params_->compile_burst, "session_compile");
+  ctx.Charge(params_->compile_burst, ChargeKind::kSessionCompile);
   if (compile_done_ % 8 == 0) {
     const uint32_t pages = 2 + compile_done_ / 8;
     if (kernel_->SegSetLength(self, scratch_segno_, pages) == Status::kOk &&
@@ -170,7 +170,7 @@ TaskState SessionTask::DoCompile(TaskContext& ctx) {
 
 TaskState SessionTask::DoCleanup(TaskContext& ctx) {
   Process& self = ctx.self();
-  ctx.Charge(100, "session_logout");
+  ctx.Charge(100, ChargeKind::kSessionLogout);
   if (channel_ != 0) {
     (void)kernel_->IpcDestroyChannel(self, channel_);
   }

@@ -73,7 +73,7 @@ Result<DumpArchive> BackupDaemon::Dump(bool incremental) {
   last_dump_ = archive.taken_at;
   // A dump costs real time: reading is charged by the paging machinery, and
   // writing the tape (or network vault) is charged here per record.
-  kernel_->machine().Charge(archive.records.size() * 50, "backup_io");
+  kernel_->machine().Charge(archive.records.size() * 50, ChargeKind::kBackupIo);
   return archive;
 }
 
@@ -146,7 +146,7 @@ Result<uint32_t> BackupDaemon::Restore(const DumpArchive& archive, bool overwrit
       ++restored;
     }
   }
-  kernel_->machine().Charge(archive.records.size() * 50, "backup_io");
+  kernel_->machine().Charge(archive.records.size() * 50, ChargeKind::kBackupIo);
   return restored;
 }
 

@@ -30,7 +30,7 @@ Result<SegNo> UserInitiator::Walk(const std::string& path_text, int depth) {
     return current;
   }
   for (size_t i = 0; i < path.components.size(); ++i) {
-    kernel_->machine().Charge(kComponentCycles, "user_ring_path_walk");
+    kernel_->machine().Charge(kComponentCycles, ChargeKind::kUserRingPathWalk);
     ++components_walked_;
     auto result = kernel_->Initiate(*process_, current, path.components[i]);
     // The intermediate directory handle is no longer needed; terminating it

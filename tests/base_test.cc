@@ -265,16 +265,5 @@ TEST(DistributionTest, Percentiles) {
   EXPECT_DOUBLE_EQ(d.Percentile(0.0), 1.0);
 }
 
-TEST(CounterSetTest, IncrementAndGet) {
-  CounterSet c;
-  c.Increment("gates");
-  c.Increment("gates", 4);
-  c.Increment("faults");
-  EXPECT_EQ(c.Get("gates"), 5u);
-  EXPECT_EQ(c.Get("faults"), 1u);
-  EXPECT_EQ(c.Get("missing"), 0u);
-  EXPECT_EQ(c.Snapshot().size(), 2u);
-}
-
 }  // namespace
 }  // namespace multics

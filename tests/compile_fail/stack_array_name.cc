@@ -1,17 +1,17 @@
 // Compile-fail fixture: StaticName's constructor is consteval, so an array
 // on the stack — whose address is no constant expression — cannot name a
-// counter, even though its type matches a literal's.
+// trace event, even though its type matches a literal's.
 
 #include "src/meter/meter.h"
 
 namespace multics {
 
 void Record(Meter& meter) {
-  static const char kStatic[] = "static_counter";
-  meter.Count(kStatic);
+  static const char kStatic[] = "static_event";
+  meter.Emit(TraceEventKind::kDispatch, kStatic);
 #ifdef MX_EXPECT_FAIL
-  const char local[] = "stack_counter";
-  meter.Count(local);
+  const char local[] = "stack_event";
+  meter.Emit(TraceEventKind::kDispatch, local);
 #endif
 }
 

@@ -1,6 +1,6 @@
-// Compile-fail fixture: a TraceSpan's name becomes a causal span frame and a
-// cached distribution key, both by pointer, so it must be a StaticName — the
-// text of a std::string does not convert.
+// Compile-fail fixture: a TraceSpan's name becomes a causal span frame, kept
+// by pointer, so it must be a StaticName — the text of a std::string does
+// not convert. The span's distribution is recorded by its owner-held id.
 
 #include <string>
 
@@ -9,9 +9,10 @@
 namespace multics {
 
 void Record(Meter& meter, const std::string& dynamic) {
-  TraceSpan span(&meter, "session");
+  MeterId session_dist = kInvalidMeterId;
+  TraceSpan span(&meter, "session", session_dist);
 #ifdef MX_EXPECT_FAIL
-  TraceSpan dynamic_span(&meter, dynamic.c_str());
+  TraceSpan dynamic_span(&meter, dynamic.c_str(), session_dist);
 #else
   (void)dynamic;
 #endif

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "src/hw/charge.h"
 #include "src/hw/core_memory.h"
 #include "src/hw/machine.h"
 #include "src/hw/processor.h"
@@ -16,6 +19,58 @@ namespace multics {
 namespace {
 
 // --- Ring-bracket rule tests -------------------------------------------------
+
+// --- Charge census -----------------------------------------------------------
+
+bool IsSnakeCase(std::string_view name) {
+  if (name.empty() || name.front() == '_' || name.back() == '_') return false;
+  for (size_t i = 0; i < name.size(); ++i) {
+    const char c = name[i];
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
+    if (!ok || (c == '_' && name[i + 1] == '_')) return false;
+  }
+  return true;
+}
+
+TEST(ChargeCensusTest, NamesAreUniqueSnakeCase) {
+  std::set<std::string_view> seen;
+  for (size_t i = 0; i < kChargeKindCount; ++i) {
+    const std::string_view name = ChargeName(ChargeAt(i));
+    EXPECT_TRUE(IsSnakeCase(name)) << name;
+    EXPECT_TRUE(seen.insert(name).second) << name;
+  }
+  EXPECT_EQ(seen.size(), kChargeKindCount);
+}
+
+TEST(ChargeCensusTest, GetByNameMatchesGetByKind) {
+  CounterSet charges;
+  for (size_t i = 0; i < kChargeKindCount; ++i) {
+    charges.Increment(ChargeAt(i), 100 + i);
+  }
+  charges.Increment(ChargeKind::kPageIo, 7);
+  for (size_t i = 0; i < kChargeKindCount; ++i) {
+    const ChargeKind kind = ChargeAt(i);
+    EXPECT_EQ(charges.Get(std::string(ChargeName(kind))), charges.Get(kind)) << ChargeName(kind);
+  }
+  EXPECT_EQ(charges.Get(ChargeKind::kPageIo), 100u + ChargeIndex(ChargeKind::kPageIo) + 7);
+  EXPECT_EQ(charges.Get("page_i0"), 0u);  // Unknown names read 0.
+  EXPECT_EQ(charges.Get(""), 0u);
+  EXPECT_EQ(charges.Get("zzz"), 0u);
+}
+
+TEST(ChargeCensusTest, SnapshotIsNameSortedAndListsOnlyTouchedRows) {
+  CounterSet charges;
+  EXPECT_TRUE(charges.Snapshot().empty());
+  charges.Increment(ChargeKind::kVictimCpu, 3);
+  charges.Increment(ChargeKind::kBackupIo, 5);
+  charges.Increment(ChargeKind::kGateCrossing, 2);
+  charges.Increment(ChargeKind::kGateCrossing, 4);
+  charges.Increment(ChargeKind::kSmpIpi, 0);  // A 0-cycle charge is still listed.
+  const std::vector<std::pair<std::string, uint64_t>> expected = {
+      {"backup_io", 5}, {"gate_crossing", 6}, {"smp_ipi", 0}, {"victim_cpu", 3}};
+  EXPECT_EQ(charges.Snapshot(), expected);
+  EXPECT_EQ(charges.Get(ChargeKind::kPageIo), 0u);  // Untouched: 0 and unlisted.
+}
 
 TEST(RingBracketsTest, ValidityRequiresMonotoneTriple) {
   EXPECT_TRUE((RingBrackets{0, 0, 5}).Valid());

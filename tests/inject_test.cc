@@ -72,7 +72,7 @@ TEST_F(InjectTest, TransientDeviceFaultRecoveredByRetry) {
   EXPECT_EQ(disk_.retries(), 2u);
   EXPECT_EQ(disk_.failed_transfers(), 0u);
   // Every retry's backoff is cycle-accounted under fault_recovery.
-  EXPECT_GT(machine_.charges().Get("fault_recovery"), 0u);
+  EXPECT_GT(machine_.charges().Get(ChargeKind::kFaultRecovery), 0u);
 }
 
 TEST_F(InjectTest, PersistentDeviceFaultSurfacesStatus) {
@@ -241,7 +241,7 @@ TEST_F(InjectKernelTest, GateCrashBecomesAuditedDenial) {
   // no half-created state behind.
   EXPECT_EQ(kernel_->audit().denials(), denials_before + 1);
   EXPECT_EQ(kernel_->audit().denials_with(Status::kProcessCrashed), 1u);
-  EXPECT_GE(kernel_->machine().charges().Get("fault_path"), 500u);
+  EXPECT_GE(kernel_->machine().charges().Get(ChargeKind::kFaultPath), 500u);
   EXPECT_FALSE(kernel_->FsStatus(*process_, home_, "doomed").ok());
 
   // Burst spent: the same call now succeeds — the kernel survived the crash.

@@ -300,6 +300,44 @@ TEST_F(LegacyGatesTest, DeviceGateEdgeCases) {
   EXPECT_EQ(kernel_->printer().pages(), 2u);
 }
 
+// The legacy logout gate: an unprivileged caller may end only a session
+// running under its own principal; a ring-0 caller may end any session.
+TEST_F(LegacyGatesTest, LogoutAuthorizesByPrincipal) {
+  kernel_->RegisterUser("Jones", "Faculty", "pw", MlsLabel::SystemHigh());
+  kernel_->RegisterUser("Smith", "Faculty", "pw", MlsLabel::SystemHigh());
+  auto smith = kernel_->LoginLegacy(*init_, "Smith", "Faculty", "pw", MlsLabel::SystemLow());
+  ASSERT_TRUE(smith.ok());
+
+  // Another principal's session, unprivileged caller: refused and audited.
+  const uint64_t denials_before = kernel_->audit().denials_with(Status::kAccessDenied);
+  EXPECT_EQ(kernel_->Logout(*user_, smith.value()->pid()), Status::kAccessDenied);
+  EXPECT_EQ(kernel_->audit().denials_with(Status::kAccessDenied), denials_before + 1);
+  const AuditRecord& denial = kernel_->audit().recent().back();
+  EXPECT_EQ(denial.operation, "logout");
+  EXPECT_EQ(denial.principal, user_->principal_string());
+  EXPECT_EQ(denial.outcome, Status::kAccessDenied);
+  EXPECT_NE(smith.value()->state(), TaskState::kDone);
+
+  // Its own session: ended, with its whole address space released.
+  auto own = kernel_->LoginLegacy(*user_, "Jones", "Faculty", "pw", user_->clearance());
+  ASSERT_TRUE(own.ok());
+  Process* session = own.value();
+  MakeSeg("mine");
+  UserInitiator initiator(kernel_.get(), session);
+  auto home = initiator.InitiateDirPath(">udd>Faculty>Jones");
+  ASSERT_TRUE(home.ok());
+  ASSERT_TRUE(kernel_->Initiate(*session, home.value(), "mine").ok());
+  EXPECT_GT(session->kst().size(), 0u);
+  EXPECT_EQ(kernel_->Logout(*user_, session->pid()), Status::kOk);
+  EXPECT_EQ(session->state(), TaskState::kDone);
+  EXPECT_EQ(session->kst().size(), 0u);
+
+  // Ring 0 may log out anyone.
+  EXPECT_EQ(kernel_->Logout(*init_, smith.value()->pid()), Status::kOk);
+  EXPECT_EQ(smith.value()->state(), TaskState::kDone);
+  EXPECT_EQ(kernel_->audit().denials_with(Status::kAccessDenied), denials_before + 1);
+}
+
 // Every registered gate must be reachable: after the suites above plus a
 // sweep here, no gate in the census has zero calls.
 TEST_F(LegacyGatesTest, EveryGateIsExercised) {
@@ -401,14 +439,16 @@ TEST_F(LegacyGatesTest, EveryGateIsExercised) {
   (void)kernel_->TapeSkip(*user_, 0);
   (void)kernel_->MeteringInfo(*user_);
   kernel_->RegisterUser("Jones", "Faculty", "pw", MlsLabel::SystemHigh());
-  (void)kernel_->LoginLegacy(*user_, "Jones", "Faculty", "pw", MlsLabel::SystemLow());
+  auto session = kernel_->LoginLegacy(*user_, "Jones", "Faculty", "pw", MlsLabel::SystemLow());
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(kernel_->Logout(*user_, session.value()->pid()), Status::kOk);
   auto bad_login = kernel_->LoginLegacy(*user_, "Jones", "Faculty", "no", {});
-  EXPECT_FALSE(bad_login.ok());  // "logout" has no method; count via login twice.
+  EXPECT_FALSE(bad_login.ok());
   (void)kernel_->Shutdown(*init_);
 
   std::vector<std::string> never_called;
   for (const GateInfo& gate : kernel_->gates().gates()) {
-    if (gate.calls == 0 && gate.name != "logout") {
+    if (gate.calls == 0) {
       never_called.push_back(gate.name);
     }
   }

@@ -111,12 +111,14 @@ TEST(FlightRecorderTest, ClearThenRefill) {
 TEST(MeterTest, SpansNestAndPairUp) {
   SimClock clock;
   Meter meter(&clock, /*recorder_capacity=*/64);
+  MeterId outer_dist = kInvalidMeterId;
+  MeterId inner_dist = kInvalidMeterId;
   {
-    TraceSpan outer(&meter, "outer");
+    TraceSpan outer(&meter, "outer", outer_dist);
     EXPECT_EQ(meter.span_depth(), 1u);
     clock.Advance(100);
     {
-      TraceSpan inner(&meter, "inner");
+      TraceSpan inner(&meter, "inner", inner_dist);
       EXPECT_EQ(meter.span_depth(), 2u);
       clock.Advance(7);
     }
@@ -137,20 +139,27 @@ TEST(MeterTest, SpansNestAndPairUp) {
   ASSERT_NE(inner_hist, nullptr);
   EXPECT_EQ(inner_hist->count(), 1u);
   EXPECT_EQ(inner_hist->max(), 7.0);
+  // Each span interned its owner-held distribution id on its first close.
+  EXPECT_EQ(outer_dist, meter.InternDistribution("outer"));
+  EXPECT_EQ(inner_dist, meter.InternDistribution("inner"));
 }
 
 TEST(MeterTest, DisabledMeterRecordsNothing) {
   SimClock clock;
   Meter meter(&clock, /*recorder_capacity=*/64);
   meter.set_enabled(false);
-  meter.Count("c");
-  meter.AddSample("d", 3.0);
+  const MeterId c = meter.InternCounter("c");
+  const MeterId d = meter.InternDistribution("d");
+  MeterId s = kInvalidMeterId;
+  meter.Count(c);
+  meter.AddSample(d, 3.0);
   meter.Emit(TraceEventKind::kFaultTaken, "f");
   {
-    TraceSpan span(&meter, "s");
+    TraceSpan span(&meter, "s", s);
     clock.Advance(5);
     EXPECT_EQ(meter.span_depth(), 0u);
   }
+  EXPECT_EQ(s, kInvalidMeterId);  // A span that recorded nothing interns nothing.
   EXPECT_EQ(meter.recorder().total_recorded(), 0u);
   EXPECT_EQ(meter.counter("c"), 0u);
   EXPECT_EQ(meter.FindDistribution("d"), nullptr);
@@ -158,7 +167,7 @@ TEST(MeterTest, DisabledMeterRecordsNothing) {
 
   // Re-enabling resumes recording; nothing from the disabled window appears.
   meter.set_enabled(true);
-  meter.Count("c", 2);
+  meter.Count(c, 2);
   EXPECT_EQ(meter.counter("c"), 2u);
   EXPECT_EQ(meter.CounterSnapshot().size(), 1u);
 }

@@ -225,7 +225,7 @@ class InterruptStrategyTest : public SchedulerTest {
   Process* MakeVictim(int steps) {
     auto counter = std::make_shared<int>(0);
     auto victim = std::make_unique<FnTask>([counter, steps](TaskContext& ctx) {
-      ctx.Charge(200, "victim_cpu");
+      ctx.Charge(200, ChargeKind::kVictimCpu);
       return ++*counter >= steps ? TaskState::kDone : TaskState::kReady;
     });
     auto process = tc_.CreateProcess("victim", TestUser(), {}, kRingUser, std::move(victim));
@@ -254,7 +254,7 @@ TEST_F(InterruptStrategyTest, DedicatedHandlerRunsInOwnProcess) {
     if (!ctx.Await(chan)) {
       return TaskState::kBlocked;
     }
-    ctx.Charge(500, "interrupt_handler");
+    ctx.Charge(500, ChargeKind::kInterruptHandler);
     ctx.controller().RecordInterruptLatency(ctx.last_message().data);
     ++handled;
     return TaskState::kReady;

@@ -176,7 +176,7 @@ TEST_P(PageControlProperty, SingleCopyInvariantHoldsUnderRandomOps) {
           break;
         }
         case 2: {  // Let the machinery breathe.
-          machine.Charge(rng.NextBelow(4000), "compute");
+          machine.Charge(rng.NextBelow(4000), ChargeKind::kCompute);
           machine.events().RunUntil(machine.clock().now());
           break;
         }

@@ -95,7 +95,7 @@ WorkloadResult RunPagingWorkload(uint32_t cpus, LockMode mode, int refs_per_work
       EXPECT_EQ(pc.EnsureResident(segment, page, AccessMode::kWrite), Status::kOk);
       segment->page_table.entries[page].used = true;
       segment->page_table.entries[page].modified = true;
-      ctx.Charge(200, "user_cpu");
+      ctx.Charge(200, ChargeKind::kUserCpu);
       return TaskState::kReady;
     });
     auto proc = tc.CreateProcess("smp_w" + std::to_string(w), TestUser(),
