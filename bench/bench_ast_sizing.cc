@@ -46,8 +46,9 @@ SizingResult RunWithAst(uint32_t ast_capacity, uint32_t working_set, int touches
   for (uint32_t i = 0; i < working_set; ++i) {
     SegmentAttributes attrs;
     attrs.acl.Set(AclEntry{"Jones", "Faculty", "*", kModeRead | kModeWrite});
-    CHECK(kernel.FsCreateSegment(p, home.value(), "w" + std::to_string(i), attrs).ok());
-    auto init = kernel.Initiate(p, home.value(), "w" + std::to_string(i));
+    const std::string name = std::string("w").append(std::to_string(i));
+    CHECK(kernel.FsCreateSegment(p, home.value(), name, attrs).ok());
+    auto init = kernel.Initiate(p, home.value(), name);
     CHECK(init.ok());
     CHECK(kernel.SegSetLength(p, init->segno, 1) == Status::kOk);
     segnos.push_back(init->segno);

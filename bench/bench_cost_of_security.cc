@@ -90,7 +90,7 @@ CostBreakdown RunWorkload(const KernelConfiguration& config, const std::string& 
   for (int round = 0; round < rounds; ++round) {  // 60 pages: inside the project quota.
     TraceSpan round_span(&meter, "session_round", round_dist, static_cast<uint64_t>(round));
     for (int i = 0; i < segments_per_round; ++i) {
-      std::string name = "w" + std::to_string(round) + "_" + std::to_string(i);
+      std::string name = std::string("w").append(std::to_string(round)) + "_" + std::to_string(i);
       SegmentAttributes attrs;
       attrs.acl.Set(AclEntry{"Jones", "Faculty", "*",
                              kModeRead | kModeWrite | kModeExecute});
@@ -192,7 +192,7 @@ void RunBench(const bench::BenchOptions& options) {
   auto delta = [](Cycles a, Cycles b) {
     double diff = (static_cast<double>(b) - static_cast<double>(a)) /
                   std::max<double>(static_cast<double>(a), 1.0);
-    return (diff >= 0 ? "+" : "") + Pct(diff);
+    return std::string(diff >= 0 ? "+" : "").append(Pct(diff));
   };
   table.AddRow({"total session cycles", Fmt(legacy.total), Fmt(kernelized.total),
                 delta(legacy.total, kernelized.total)});

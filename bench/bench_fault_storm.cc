@@ -81,7 +81,7 @@ StormOutcome RunStorm(double rate, int steps) {
     actors.push_back(actor);
   }
 
-  SecuritySnapshot before = CaptureSecuritySnapshot(kernel.hierarchy());
+  const SegmentStore::State before = kernel.store().SaveState();
 
   InjectionPlan plan;
   StormConfig storm;
@@ -101,7 +101,7 @@ StormOutcome RunStorm(double rate, int steps) {
     Process& process = *actor.process;
     switch (rng.NextBelow(5)) {
       case 0: {
-        std::string name = "s" + std::to_string(rng.NextBelow(32));
+        std::string name = std::string("s").append(std::to_string(rng.NextBelow(32)));
         SegmentAttributes attrs;
         attrs.acl.Set(AclEntry{process.principal().person, process.principal().project, "*",
                                kModeRead | kModeWrite});

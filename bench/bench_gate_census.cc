@@ -72,7 +72,7 @@ void RunBench(const bench::BenchOptions& options) {
     last_total = total;
     cells.push_back(Fmt(total));
     double change = (static_cast<double>(legacy_total) - total) / legacy_total;
-    cells.push_back(total == legacy_total ? "--" : "-" + Pct(change));
+    cells.push_back(total == legacy_total ? "--" : std::string("-").append(Pct(change)));
     table.AddRow(std::move(cells));
   }
   table.Print();

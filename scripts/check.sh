@@ -29,12 +29,20 @@
 #                                # (the default) in the plain build.
 #   scripts/check.sh --certify   # exhaustive certification suite: the
 #                                # certify-labeled ctests (mx_mc fixed-point
-#                                # run, fuzz replay, and the mutation
-#                                # kill-tests), a byte-identical determinism
+#                                # run, fuzz replay, the mutation kill-tests,
+#                                # and the kernel snapshot/restore
+#                                # fingerprints), a byte-identical determinism
 #                                # check (two mx_mc runs, stdout compared with
 #                                # cmp, JSONs compared with bench_diff), and
 #                                # the deep 3x3x3 configuration with the full
 #                                # op alphabet.
+#   scripts/check.sh --release   # optimized build: configures build-release/
+#                                # with -DCMAKE_BUILD_TYPE=Release (-O3, so
+#                                # GCC's inlining-dependent warnings such as
+#                                # -Wrestrict fire that the default
+#                                # RelWithDebInfo build never sees), builds
+#                                # every target under the same -Werror, and
+#                                # runs the certify-labeled ctests on it.
 #   scripts/check.sh --perf      # host-performance observatory suite: the
 #                                # perf-labeled ctests (mx_top --once), the
 #                                # smoke bench harness with the host profiler
@@ -57,7 +65,8 @@
 # default run certifies the tree too; --lint is the quick loop.
 #
 # Build trees: build/ (plain), build-asan/ (sanitized), build-tsan/ (TSan),
-# all from the repo root, so the script is safe to run from anywhere.
+# build-release/ (Release), all from the repo root, so the script is safe to
+# run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -119,7 +128,7 @@ fi
 if [[ "${1:-}" == "--certify" ]]; then
   echo "== exhaustive certification suite (build/) =="
   cmake -B build -S .
-  cmake --build build -j --target mx_mc mx_lint modelcheck_test lint_test
+  cmake --build build -j --target mx_mc mx_lint modelcheck_test kernel_snapshot_test lint_test
   echo "== certify- and lint-labeled ctests =="
   (cd build && ctest --output-on-failure -L 'certify|lint' -j "$(nproc)")
   echo "== determinism: two mx_mc runs must match to the byte =="
@@ -133,6 +142,16 @@ if [[ "${1:-}" == "--certify" ]]; then
   echo "== deep configuration: 3x3x3, full op alphabet =="
   ./build/tools/mx_mc --deep --json=build/MC_DEEP.json
   echo "== ok (certify suite) =="
+  exit 0
+fi
+
+if [[ "${1:-}" == "--release" ]]; then
+  echo "== Release build, every target under -Werror (build-release/) =="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-release -j
+  echo "== certify-labeled ctests on the Release build =="
+  (cd build-release && ctest --output-on-failure -L certify -j "$(nproc)")
+  echo "== ok (release) =="
   exit 0
 fi
 

@@ -26,16 +26,6 @@ uint32_t FlawRegistry::Add(FlawReport report) {
   return reports_.back().id;
 }
 
-Status FlawRegistry::MarkRepaired(uint32_t id) {
-  for (FlawReport& report : reports_) {
-    if (report.id == id) {
-      report.repaired = true;
-      return Status::kOk;
-    }
-  }
-  return Status::kNotFound;
-}
-
 uint32_t FlawRegistry::open_count() const {
   uint32_t n = 0;
   for (const FlawReport& report : reports_) {

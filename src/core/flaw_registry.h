@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/result.h"
-
 namespace multics {
 
 enum class FlawClass {
@@ -43,7 +41,6 @@ struct FlawReport {
 class FlawRegistry {
  public:
   uint32_t Add(FlawReport report);  // Returns the assigned id.
-  Status MarkRepaired(uint32_t id);
 
   uint32_t total() const { return static_cast<uint32_t>(reports_.size()); }
   uint32_t open_count() const;

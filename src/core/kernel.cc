@@ -217,9 +217,12 @@ Result<Process*> Kernel::BootstrapProcess(const std::string& name, const Princip
   if (!process.ok()) {
     return process.status();
   }
-  fault_sinks_[process.value()->pid()] =
-      std::make_unique<KernelFaultSink>(this, process.value());
+  AttachFaultSink(*process.value());
   return process;
+}
+
+void Kernel::AttachFaultSink(Process& process) {
+  fault_sinks_[process.pid()] = std::make_unique<KernelFaultSink>(this, &process);
 }
 
 Result<Process*> Kernel::ProcCreate(Process& caller, const std::string& name,

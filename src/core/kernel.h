@@ -78,6 +78,8 @@ struct BranchStatus {
   uint32_t names = 0;
 };
 
+class KernelSnapshot;
+
 class Kernel {
  public:
   explicit Kernel(const KernelParams& params);
@@ -85,6 +87,18 @@ class Kernel {
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
+
+  // --- Snapshot -----------------------------------------------------------
+  // Saves every piece of simulated state as values, with ids in place of
+  // pointers; Restore writes a snapshot of this kernel back into it, so a
+  // restored kernel behaves exactly as it did at the save. Wiring (subsystem
+  // pointers, hooks, the lock-trace observer) is never copied. Both require
+  // a quiescent kernel (CHECKed): no pending event, no open meter span, no
+  // held lock, no open network connection, no per-device I/O stack, and for
+  // Restore the same process set as at the save. See docs/ARCHITECTURE.md,
+  // "Kernel snapshot".
+  KernelSnapshot Snapshot() const;
+  void Restore(const KernelSnapshot& snapshot);
 
   // Bell-LaPadula trusted subjects: the kernel's own services (ring <= 1).
   static bool Trusted(const Process& process) { return process.ring() <= kRingSupervisor; }
@@ -298,6 +312,10 @@ class Kernel {
  private:
   friend class KernelFaultSink;
   friend class KernelLinkEnv;
+  friend class KernelSnapshot;
+
+  void CheckQuiescent() const;
+  void AttachFaultSink(Process& process);
 
   // Per-process legacy naming state (kernel-resident in legacy configs).
   struct LegacyNamingState {
@@ -344,8 +362,8 @@ class Kernel {
   Hierarchy hierarchy_;
   GateTable gates_;
   // Per-gate "gate/<name>" distribution ids, interned on a gate's first
-  // metered call (kInvalidMeterId until then): the model checker builds
-  // tens of thousands of kernels that call a handful of gates each.
+  // metered call (kInvalidMeterId until then), so a kernel that calls a
+  // handful of gates interns only those names.
   std::array<MeterId, kGateCount> gate_dist_ids_;
   AuditLog audit_;
   ReferenceMonitor monitor_;
@@ -380,6 +398,40 @@ class Kernel {
   uint64_t address_space_ops_ = 0;
 
   friend class GateSpan;
+};
+
+// A kernel's saved state (Kernel::Snapshot). An opaque value: copyable, and
+// only ever handed back to Restore on the kernel that made it.
+class KernelSnapshot {
+ private:
+  friend class Kernel;
+
+  Machine::State machine;
+  std::vector<FrameIndex> core_frames;  // Frames in use, ascending.
+  std::vector<Word> core_words;         // Their contents, kPageWords each.
+  CoreMap::State core_map;
+  PagingDevice::State bulk;
+  PagingDevice::State disk;
+  ActiveSegmentTable::State ast;
+  PageControlState page_control;
+  SegmentStore::State store;
+  Hierarchy::State hierarchy;
+  GateTable gates{GateSet{}};
+  std::array<MeterId, kGateCount> gate_dist_ids{};
+  AuditLog audit;
+  uint64_t monitor_checks = 0;
+  FlawRegistry flaws;
+  TrafficController::State traffic;
+  NetworkAttachment::State network;
+  std::unordered_map<Uid, std::unordered_set<uint64_t>> connections;
+  std::vector<ProcessId> fault_sinks;
+  std::unordered_map<ProcessId, Kernel::LegacyNamingState> legacy_naming;
+  std::unordered_map<std::string, Kernel::UserRecord> users;
+  std::vector<ProcessId> attached;  // Per CPU: whose address space (kNoProcess: none).
+  ProcessId meter_context = kNoProcess;  // Whose span stack the meter is on.
+  ProcessId current = kNoProcess;
+  uint64_t kernel_faults = 0;
+  uint64_t address_space_ops = 0;
 };
 
 // RAII gate prologue: performs EnterGate (existence check, call accounting,

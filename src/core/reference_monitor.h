@@ -52,6 +52,8 @@ class ReferenceMonitor {
                              PageTable* page_table) const;
 
   uint64_t checks() const { return checks_; }
+  // Kernel::Restore puts the counter back with the rest of the state.
+  void RestoreChecks(uint64_t checks) { checks_ = checks; }
 
  private:
   AuditLog* audit_;

@@ -87,6 +87,18 @@ class Hierarchy {
 
   SegmentStore* store() const { return store_; }
 
+  // The directories' contents, saved and restored with the kernel (the
+  // branches they name are the store's).
+  struct State {
+    Uid root = kInvalidUid;
+    std::unordered_map<Uid, Directory> directories;
+  };
+  State SaveState() const { return State{root_, directories_}; }
+  void RestoreState(const State& state) {
+    root_ = state.root;
+    directories_ = state.directories;
+  }
+
  private:
   Result<Directory*> GetDir(Uid dir_uid);
   Result<const Directory*> GetDir(Uid dir_uid) const;

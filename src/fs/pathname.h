@@ -26,7 +26,6 @@ struct Path {
   std::string ToString() const;
   std::string Leaf() const { return components.empty() ? "" : components.back(); }
   Path Parent() const;
-  Path Child(const std::string& name) const;
 
   static Result<Path> Parse(const std::string& text);
 

@@ -75,6 +75,21 @@ class SegmentStore {
   ActiveSegmentTable* ast() const { return ast_; }
   Machine* machine() const { return machine_; }
 
+  // The catalog: every branch, the initiation references and the UID
+  // counter. This is the store's part of a kernel snapshot, and on its own
+  // it is the pre-fault baseline CrashRestart diffs branches against.
+  struct State {
+    std::unordered_map<Uid, Branch> branches;
+    std::unordered_map<Uid, uint32_t> refs;
+    Uid next_uid = 1;
+  };
+  State SaveState() const { return State{branches_, refs_, next_uid_}; }
+  void RestoreState(const State& state) {
+    branches_ = state.branches;
+    refs_ = state.refs;
+    next_uid_ = state.next_uid;
+  }
+
  private:
   Status QuotaCharge(Uid parent, int64_t delta_pages);
   Status DeactivateNow(Uid uid);  // Flush + drop from AST + refresh disk_home.

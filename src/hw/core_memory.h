@@ -49,6 +49,18 @@ class CoreMemory {
     std::copy(in.begin(), in.end(), data_.begin() + static_cast<long>(frame) * kPageWords);
   }
 
+  // Sparse page images (Kernel::Snapshot): append one frame's words to
+  // `out`, or load a frame from kPageWords words.
+  void AppendPage(FrameIndex frame, std::vector<Word>* out) const {
+    CHECK_LT(frame, frame_count());
+    const auto first = data_.begin() + static_cast<long>(frame) * kPageWords;
+    out->insert(out->end(), first, first + kPageWords);
+  }
+  void LoadPage(FrameIndex frame, const Word* words) {
+    CHECK_LT(frame, frame_count());
+    std::copy(words, words + kPageWords, data_.begin() + static_cast<long>(frame) * kPageWords);
+  }
+
   void ZeroPage(FrameIndex frame) {
     CHECK_LT(frame, frame_count());
     std::fill(data_.begin() + static_cast<long>(frame) * kPageWords,

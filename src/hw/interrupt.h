@@ -60,6 +60,30 @@ class InterruptController {
   uint64_t total_dispatched() const { return total_dispatched_; }
   uint64_t total_dropped() const { return total_dropped_; }
 
+  // Queue, mask and totals, saved and restored with the kernel; the clock,
+  // hook and injector are wiring.
+  struct State {
+    bool masked = false;
+    std::deque<InterruptEvent> pending;
+    uint64_t total_asserted = 0;
+    uint64_t total_dispatched = 0;
+    uint64_t total_dropped = 0;
+  };
+  State SaveState() const {
+    return State{.masked = masked_,
+                 .pending = pending_,
+                 .total_asserted = total_asserted_,
+                 .total_dispatched = total_dispatched_,
+                 .total_dropped = total_dropped_};
+  }
+  void RestoreState(const State& state) {
+    masked_ = state.masked;
+    pending_ = state.pending;
+    total_asserted_ = state.total_asserted;
+    total_dispatched_ = state.total_dispatched;
+    total_dropped_ = state.total_dropped;
+  }
+
  private:
   uint32_t line_count_;
   const SimClock* clock_ = nullptr;

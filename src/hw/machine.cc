@@ -59,6 +59,11 @@ Processor& Machine::processor(uint32_t cpu) {
   return *processors_[cpu];
 }
 
+const Processor& Machine::processor(uint32_t cpu) const {
+  CHECK(cpu < cpu_count_) << "CPU " << cpu << " out of range (machine has " << cpu_count_ << ")";
+  return *processors_[cpu];
+}
+
 void Machine::PostConnect(uint32_t cpu) {
   CHECK(cpu < cpu_count_);
   ++connects_posted_;
@@ -80,6 +85,50 @@ bool Machine::TakeConnect(uint32_t cpu) {
   connect_pending_[cpu] = 0;
   ++connects_taken_;
   return true;
+}
+
+Machine::State Machine::SaveState() const {
+  CHECK(events_.empty()) << "machine saved with " << events_.pending() << " pending event(s)";
+  State state{.clock = clock_,
+              .charges = charges_,
+              .active_cpu = active_cpu_,
+              .local = local_,
+              .busy = busy_,
+              .idle = idle_,
+              .connect_pending = connect_pending_,
+              .connects_posted = connects_posted_,
+              .connects_taken = connects_taken_,
+              .processors = {},
+              .interrupts = interrupts_.SaveState(),
+              .meter = meter_.SaveState(),
+              .locks = locks_.SaveState(),
+              .lock_trace = lock_trace_.SaveState()};
+  state.processors.reserve(processors_.size());
+  for (const std::unique_ptr<Processor>& cpu : processors_) {
+    state.processors.push_back(cpu->SaveState());
+  }
+  return state;
+}
+
+void Machine::RestoreState(const State& state) {
+  CHECK(events_.empty()) << "machine restored with " << events_.pending() << " pending event(s)";
+  CHECK(state.processors.size() == processors_.size()) << "machine state from another machine";
+  clock_ = state.clock;
+  charges_ = state.charges;
+  active_cpu_ = state.active_cpu;
+  local_ = state.local;
+  busy_ = state.busy;
+  idle_ = state.idle;
+  connect_pending_ = state.connect_pending;
+  connects_posted_ = state.connects_posted;
+  connects_taken_ = state.connects_taken;
+  for (size_t cpu = 0; cpu < processors_.size(); ++cpu) {
+    processors_[cpu]->RestoreState(state.processors[cpu]);
+  }
+  interrupts_.RestoreState(state.interrupts);
+  meter_.RestoreState(state.meter);
+  locks_.RestoreState(state.locks);
+  lock_trace_.RestoreState(state.lock_trace);
 }
 
 Cycles Machine::SyncTransfer(Cycles latency, Cycles* channel_busy_until) {

@@ -34,6 +34,20 @@ namespace multics {
 
 class Processor;
 
+// A processor's simulated register and counter state, saved and restored
+// with the kernel (Kernel::Snapshot). The attached address space and fault
+// sink are wiring the kernel re-binds; the walk cache is host-side and
+// self-invalidating.
+struct ProcessorState {
+  RingNumber ring = kRingUser;
+  bool allow_outward_calls = false;
+  std::vector<RingNumber> ring_stack;
+  uint64_t segment_faults = 0;
+  uint64_t page_faults = 0;
+  uint64_t intra_ring_calls = 0;
+  uint64_t cross_ring_calls = 0;
+};
+
 // Which machine generation implements the protection rings.
 enum class RingMode {
   kHardware6180,  // Rings in hardware: cross-ring call costs an ordinary call.
@@ -83,6 +97,7 @@ class Machine {
   void SetActiveCpu(uint32_t cpu);
 
   Processor& processor(uint32_t cpu);
+  const Processor& processor(uint32_t cpu) const;
   Processor& active_processor() { return processor(active_cpu_); }
 
   // The active CPU's local clock (== the global clock on a 1-CPU machine).
@@ -186,6 +201,32 @@ class Machine {
     if (injector_ == nullptr) return InjectionDecision{};
     return injector_->Consult(InjectionPoint{site, name, detail});
   }
+
+  // --- Snapshot (Kernel::Snapshot) ----------------------------------------
+
+  // The machine's simulated state: clocks, charges, per-CPU accounting and
+  // processor registers, interrupts, the meter, and the locks with their
+  // trace. Core frames are the kernel's to save (only it knows which are in
+  // use); the descriptor-segment epoch counter is host-side and never goes
+  // back. Saving and restoring require a drained event queue.
+  struct State {
+    SimClock clock;
+    CounterSet charges;
+    uint32_t active_cpu = 0;
+    std::vector<Cycles> local;
+    std::vector<Cycles> busy;
+    std::vector<Cycles> idle;
+    std::vector<uint8_t> connect_pending;
+    uint64_t connects_posted = 0;
+    uint64_t connects_taken = 0;
+    std::vector<ProcessorState> processors;
+    InterruptController::State interrupts;
+    Meter::State meter;
+    LockSet::State locks;
+    LockTrace::State lock_trace;
+  };
+  State SaveState() const;
+  void RestoreState(const State& state);
 
  private:
   MachineConfig config_;

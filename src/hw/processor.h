@@ -35,7 +35,8 @@ class Processor {
   // walk can only ever be compared against epochs of the same stream.
   void AttachAddressSpace(DescriptorSegment* dseg);
   DescriptorSegment* address_space() const { return dseg_; }
-  void SetFaultSink(FaultSink* sink) { faults_ = sink; }
+  // nullptr detaches to the built-in sink that resolves nothing.
+  void SetFaultSink(FaultSink* sink) { faults_ = sink != nullptr ? sink : &null_sink_; }
   void SetRing(RingNumber ring) { ring_ = ring; }
   RingNumber ring() const { return ring_; }
 
@@ -72,6 +73,27 @@ class Processor {
   uint64_t cross_ring_calls() const { return cross_ring_calls_; }
 
   Machine* machine() const { return machine_; }
+
+  // Register and counter state (see ProcessorState in machine.h).
+  using State = ProcessorState;
+  State SaveState() const {
+    return State{.ring = ring_,
+                 .allow_outward_calls = allow_outward_calls_,
+                 .ring_stack = ring_stack_,
+                 .segment_faults = segment_faults_,
+                 .page_faults = page_faults_,
+                 .intra_ring_calls = intra_ring_calls_,
+                 .cross_ring_calls = cross_ring_calls_};
+  }
+  void RestoreState(const State& state) {
+    ring_ = state.ring;
+    allow_outward_calls_ = state.allow_outward_calls;
+    ring_stack_ = state.ring_stack;
+    segment_faults_ = state.segment_faults;
+    page_faults_ = state.page_faults;
+    intra_ring_calls_ = state.intra_ring_calls;
+    cross_ring_calls_ = state.cross_ring_calls;
+  }
 
  private:
   // Validates a reference and returns the frame holding the word, resolving

@@ -11,6 +11,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/hw/page_table.h"
 #include "src/hw/ring.h"
@@ -73,6 +75,50 @@ class DescriptorSegment {
         pages_[p] = std::make_unique<Page>(*other.pages_[p]);
       }
     }
+  }
+
+  // The allocated pages by value, in page order (Kernel::Snapshot): no
+  // epoch and no tie to the machine. The page-table addresses inside are the
+  // saver's; after RestoreImage only their non-nullness means anything, until
+  // RebindPageTables looks them up anew.
+  using Image = std::vector<std::pair<SegNo, std::array<SegmentDescriptor, kSdwsPerPage>>>;
+  Image SaveImage() const {
+    Image image;
+    for (SegNo p = 0; p < kDsegPages; ++p) {
+      if (pages_[p] != nullptr) {
+        image.emplace_back(p, *pages_[p]);
+      }
+    }
+    return image;
+  }
+  // Pages absent from `image` are dropped; the epoch is fresh, so no
+  // processor cache keyed on this segment survives.
+  void RestoreImage(const Image& image) {
+    auto next = image.begin();
+    for (SegNo p = 0; p < kDsegPages; ++p) {
+      if (next == image.end() || next->first != p) {
+        pages_[p].reset();
+      } else if (pages_[p] == nullptr) {
+        pages_[p] = std::make_unique<Page>((next++)->second);
+      } else {
+        *pages_[p] = (next++)->second;
+      }
+    }
+    epoch_ = epochs_->Next();
+  }
+
+  // Re-resolves every attached page table through `lookup(uid)`.
+  template <typename Fn>
+  void RebindPageTables(Fn&& lookup) {
+    for (auto& page : pages_) {
+      if (page == nullptr) continue;
+      for (SegmentDescriptor& sdw : *page) {
+        if (sdw.page_table != nullptr) {
+          sdw.page_table = lookup(sdw.uid);
+        }
+      }
+    }
+    epoch_ = epochs_->Next();
   }
 
   const SegmentDescriptor& Get(SegNo segno) const {

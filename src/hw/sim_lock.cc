@@ -73,6 +73,26 @@ void LockTrace::Clear() {
   acquisitions_observed_ = 0;
 }
 
+LockTrace::State LockTrace::SaveState() const {
+  for (const auto& stack : held_) {
+    CHECK(stack.empty()) << "lock trace saved while a lock is held";
+  }
+  return State{edges_, violations_, acquisitions_observed_};
+}
+
+void LockTrace::RestoreState(const State& state) {
+  for (const auto& stack : held_) {
+    CHECK(stack.empty()) << "lock trace restored while a lock is held";
+  }
+  // The seen-pair memo keys on lock addresses; a restore may drop directory
+  // locks, so start it afresh (a miss only re-writes an identical edge).
+  edge_seen_.clear();
+  edge_seen_count_ = 0;
+  edges_ = state.edges;
+  violations_ = state.violations;
+  acquisitions_observed_ = state.acquisitions_observed;
+}
+
 bool LockTrace::EdgeSeen(const SimLock* outer, const SimLock* inner) {
   if ((edge_seen_count_ + 1) * 10 >= edge_seen_.size() * 7) {
     const size_t new_size = edge_seen_.empty() ? 64 : edge_seen_.size() * 2;
@@ -123,6 +143,32 @@ void SimLock::EnsureMeterIds(Meter& meter) {
   m_contended_ = meter.InternCounter("lock/contended/" + name);
   m_hold_ = meter.InternDistribution("lock_hold/" + name);
   m_wait_ = meter.InternDistribution("lock_wait/" + name);
+}
+
+SimLock::State SimLock::SaveState() const {
+  CHECK(depth_ == 0) << "lock " << name_ << " saved while held";
+  State state{.busy = {},
+              .acquisitions = acquisitions_,
+              .contentions = contentions_,
+              .wait_cycles = wait_cycles_,
+              .hold_cycles = hold_cycles_};
+  for (size_t i = busy_head_; i < busy_.size(); ++i) {
+    state.busy.emplace_back(busy_[i].start, busy_[i].end);
+  }
+  return state;
+}
+
+void SimLock::RestoreState(const State& state) {
+  CHECK(depth_ == 0) << "lock " << name_ << " restored while held";
+  busy_.clear();
+  busy_head_ = 0;
+  for (const auto& [start, end] : state.busy) {
+    busy_.push_back(BusyInterval{start, end});
+  }
+  acquisitions_ = state.acquisitions;
+  contentions_ = state.contentions;
+  wait_cycles_ = state.wait_cycles;
+  hold_cycles_ = state.hold_cycles;
 }
 
 void SimLock::Acquire() {
@@ -311,6 +357,34 @@ SimLock* LockSet::FindOrCreateDir(uint64_t dir_uid) {
       return slot.lock;
     }
     i = (i + 1) & mask;
+  }
+}
+
+LockSet::State LockSet::SaveState() const {
+  State state{.global = global_.SaveState(),
+              .page_table = page_table_.SaveState(),
+              .ast = ast_.SaveState(),
+              .traffic = traffic_.SaveState(),
+              .dirs = {}};
+  state.dirs.reserve(dir_locks_.size());
+  for (const auto& [uid, lock] : dir_locks_) {
+    state.dirs.emplace_back(uid, lock->SaveState());
+  }
+  return state;
+}
+
+void LockSet::RestoreState(const State& state) {
+  global_.RestoreState(state.global);
+  page_table_.RestoreState(state.page_table);
+  ast_.RestoreState(state.ast);
+  traffic_.RestoreState(state.traffic);
+  // Directory locks are recreated in the saved creation order (the lock
+  // trace's memo of lock addresses is dropped on restore).
+  dir_slots_.clear();
+  dir_count_ = 0;
+  dir_locks_.clear();
+  for (const auto& [uid, lock_state] : state.dirs) {
+    FindOrCreateDir(uid)->RestoreState(lock_state);
   }
 }
 

@@ -122,6 +122,17 @@ class LockTrace {
   }
   void Clear();
 
+  // The recorded history, saved and restored with the kernel. Only a trace
+  // with no lock held can be saved or restored; the observer is wiring and
+  // stays installed.
+  struct State {
+    std::map<std::pair<std::string, std::string>, std::pair<uint32_t, uint32_t>> edges;
+    std::vector<LockOrderViolation> violations;
+    uint64_t acquisitions_observed = 0;
+  };
+  State SaveState() const;
+  void RestoreState(const State& state);
+
  private:
   static constexpr size_t kMaxViolations = 64;  // Enough to diagnose; bounded.
 
@@ -182,6 +193,17 @@ class SimLock {
   uint64_t contentions() const { return contentions_; }
   Cycles wait_cycles() const { return wait_cycles_; }
   Cycles hold_cycles() const { return hold_cycles_; }
+
+  // Timeline and counters of an unheld lock (Kernel::Snapshot).
+  struct State {
+    std::vector<std::pair<Cycles, Cycles>> busy;  // Live intervals, [start, end).
+    uint64_t acquisitions = 0;
+    uint64_t contentions = 0;
+    Cycles wait_cycles = 0;
+    Cycles hold_cycles = 0;
+  };
+  State SaveState() const;
+  void RestoreState(const State& state);
 
  private:
   // mx:hot-path:begin — busy-interval timeline and per-lock meter ids;
@@ -274,6 +296,17 @@ class LockSet {
   SimLock& Dir(uint64_t dir_uid);
 
   size_t dir_lock_count() const { return dir_count_; }
+
+  // Every lock's state; directory locks in creation order, by UID.
+  struct State {
+    SimLock::State global;
+    SimLock::State page_table;
+    SimLock::State ast;
+    SimLock::State traffic;
+    std::vector<std::pair<uint64_t, SimLock::State>> dirs;
+  };
+  State SaveState() const;
+  void RestoreState(const State& state);
 
   // Deterministic sweep over every lock (fixed locks first, then directory
   // locks in UID order) for reports and benches.

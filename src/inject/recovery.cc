@@ -1,19 +1,8 @@
 #include "src/inject/recovery.h"
 
-#include <unordered_set>
-
 namespace multics {
 
-SecuritySnapshot CaptureSecuritySnapshot(Hierarchy& hierarchy) {
-  SecuritySnapshot snapshot;
-  hierarchy.store()->ForEachBranch([&](Branch& branch) {
-    snapshot.branches[branch.uid] =
-        BranchSecurity{branch.is_directory, branch.acl.entries(), branch.label};
-  });
-  return snapshot;
-}
-
-Result<RecoveryReport> CrashRestart(Hierarchy& hierarchy, const SecuritySnapshot& before) {
+Result<RecoveryReport> CrashRestart(Hierarchy& hierarchy, const SegmentStore::State& before) {
   RecoveryReport report;
   SegmentStore& store = *hierarchy.store();
   Machine* machine = store.machine();
@@ -57,8 +46,8 @@ Result<RecoveryReport> CrashRestart(Hierarchy& hierarchy, const SecuritySnapshot
   report.residual_defects = rescan.value().total_repairs();
   report.orphan_branches = rescan.value().orphans_reattached;
 
-  // Security diff: every surviving branch must carry exactly the ACL and MLS
-  // label it had before the faults. (Branches legitimately deleted by a torn
+  // Security diff: every surviving branch must carry exactly the ACL, MLS
+  // label and directory-ness it had before the faults. (Branches legitimately deleted by a torn
   // DeleteEntry are absent from the store and simply not compared; the
   // salvager never resurrects them.)
   store.ForEachBranch([&](Branch& branch) {
@@ -66,12 +55,15 @@ Result<RecoveryReport> CrashRestart(Hierarchy& hierarchy, const SecuritySnapshot
     if (it == before.branches.end()) {
       return;  // Created after the snapshot (e.g. >lost_found itself).
     }
-    const BranchSecurity& prior = it->second;
-    if (!(branch.acl.entries() == prior.acl)) {
+    const Branch& prior = it->second;
+    if (!(branch.acl.entries() == prior.acl.entries())) {
       ++report.acl_changes;
     }
     if (!(branch.label == prior.label)) {
       ++report.labels_changed;
+    }
+    if (branch.is_directory != prior.is_directory) {
+      ++report.kind_changes;
     }
   });
 

@@ -5,13 +5,13 @@
 // that the Multics answer — shut down, run the salvager, come back up —
 // restores a state the reference monitor's assumptions hold in:
 //
-//   1. CaptureSecuritySnapshot records every branch's security-relevant
-//      attributes (ACL, MLS label, directory-ness) *before* faults are
-//      injected.
+//   1. SegmentStore::SaveState records every branch — the store's part of a
+//      kernel snapshot (Kernel::Snapshot) — *before* faults are injected.
 //   2. CrashRestart simulates the restart: it disables injection for the
 //      duration, deactivates every segment (the quiescence the salvager's
 //      failure contract demands), runs Salvager in repair mode, then runs a
-//      scan-only pass and diffs the surviving branches against the snapshot.
+//      scan-only pass and diffs each surviving branch's security-relevant
+//      attributes (ACL, MLS label, directory-ness) against the saved one.
 //
 // Failure contract: CrashRestart returns the salvager's Status unchanged if
 // salvage itself fails (missing root, unusable >lost_found); it never
@@ -23,28 +23,10 @@
 #ifndef SRC_INJECT_RECOVERY_H_
 #define SRC_INJECT_RECOVERY_H_
 
-#include <unordered_map>
-#include <vector>
-
-#include "src/fs/acl.h"
 #include "src/fs/hierarchy.h"
 #include "src/fs/salvager.h"
-#include "src/mls/label.h"
 
 namespace multics {
-
-// Security-relevant attributes of one branch, frozen at snapshot time.
-struct BranchSecurity {
-  bool is_directory = false;
-  std::vector<AclEntry> acl;
-  MlsLabel label;
-};
-
-struct SecuritySnapshot {
-  std::unordered_map<Uid, BranchSecurity> branches;
-};
-
-SecuritySnapshot CaptureSecuritySnapshot(Hierarchy& hierarchy);
 
 struct RecoveryReport {
   SalvageReport salvage;          // What the repair pass fixed.
@@ -53,17 +35,18 @@ struct RecoveryReport {
   uint32_t acl_changes = 0;       // Branches whose ACL differs from the snapshot.
   uint32_t labels_changed = 0;    // Branches whose MLS label differs (any change
                                   // is treated as a potential widening).
+  uint32_t kind_changes = 0;      // Branches that became or stopped being directories.
 
   bool clean() const {
     return residual_defects == 0 && orphan_branches == 0 && acl_changes == 0 &&
-           labels_changed == 0;
+           labels_changed == 0 && kind_changes == 0;
   }
 };
 
 // Simulates crash + restart + salvage, then verifies the invariants against
 // `before`. The machine's registered injector (if any) is suspended for the
 // duration and restored before returning, so recovery itself cannot be torn.
-Result<RecoveryReport> CrashRestart(Hierarchy& hierarchy, const SecuritySnapshot& before);
+Result<RecoveryReport> CrashRestart(Hierarchy& hierarchy, const SegmentStore::State& before);
 
 }  // namespace multics
 

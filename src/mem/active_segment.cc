@@ -1,7 +1,5 @@
 #include "src/mem/active_segment.h"
 
-#include <memory>
-
 namespace multics {
 
 const char* PageLevelName(PageLevel level) {
@@ -28,15 +26,13 @@ Result<ActiveSegment*> ActiveSegmentTable::Activate(uint64_t uid, uint32_t pages
   if (table_.size() >= capacity_) {
     return Status::kResourceExhausted;
   }
-  auto seg = std::make_unique<ActiveSegment>(uid, pages);
+  ActiveSegment& seg = table_.try_emplace(uid, uid, pages).first->second;
   for (uint32_t p = 0; p < pages && p < disk_home.size(); ++p) {
     if (disk_home[p] != kInvalidDevAddr) {
-      seg->location[p] = PageLoc{PageLevel::kDisk, disk_home[p]};
+      seg.location[p] = PageLoc{PageLevel::kDisk, disk_home[p]};
     }
   }
-  ActiveSegment* out = seg.get();
-  table_[uid] = std::move(seg);
-  return out;
+  return &seg;
 }
 
 Status ActiveSegmentTable::Deactivate(uint64_t uid) {
@@ -45,7 +41,7 @@ Status ActiveSegmentTable::Deactivate(uint64_t uid) {
     return Status::kNotFound;
   }
   // Deactivation with pages still in core or on bulk would strand them.
-  for (const PageLoc& loc : it->second->location) {
+  for (const PageLoc& loc : it->second.location) {
     if (loc.level == PageLevel::kCore || loc.level == PageLevel::kBulk) {
       return Status::kFailedPrecondition;
     }
@@ -56,7 +52,7 @@ Status ActiveSegmentTable::Deactivate(uint64_t uid) {
 
 ActiveSegment* ActiveSegmentTable::Find(uint64_t uid) {
   auto it = table_.find(uid);
-  return it == table_.end() ? nullptr : it->second.get();
+  return it == table_.end() ? nullptr : &it->second;
 }
 
 }  // namespace multics

@@ -76,13 +76,22 @@ class ActiveSegmentTable {
   template <typename Fn>
   void ForEach(Fn&& fn) {
     for (auto& [uid, seg] : table_) {
-      fn(seg.get());
+      fn(&seg);
     }
   }
 
+  // The entries by value, saved and restored with the kernel. A copy keeps
+  // the iteration order, so a restored table sweeps in the saved order. A
+  // restore may move an entry to another address: holders of ActiveSegment
+  // pointers (SDWs, the core map, page control) re-resolve them by UID.
+  using State = std::unordered_map<uint64_t, ActiveSegment>;
+  State SaveState() const { return table_; }
+  void RestoreState(const State& state) { table_ = state; }
+
  private:
   uint32_t capacity_;
-  std::unordered_map<uint64_t, std::unique_ptr<ActiveSegment>> table_;
+  // Node-based: entry addresses survive rehashing.
+  std::unordered_map<uint64_t, ActiveSegment> table_;
 };
 
 }  // namespace multics

@@ -61,4 +61,26 @@ void CoreMap::ClearUsedBit(FrameIndex frame) {
   }
 }
 
+CoreMap::State CoreMap::SaveState() const {
+  State state{frames_, {}, free_list_};
+  for (FrameIndex frame = 0; frame < state.frames.size(); ++frame) {
+    FrameInfo& info = state.frames[frame];
+    if (info.owner != nullptr) {
+      state.owners.emplace_back(frame, info.owner->uid);
+      info.owner = nullptr;
+    }
+  }
+  return state;
+}
+
+void CoreMap::RestoreState(const State& state, ActiveSegmentTable& ast) {
+  CHECK_EQ(state.frames.size(), frames_.size());
+  frames_ = state.frames;
+  free_list_ = state.free_list;
+  for (const auto& [frame, uid] : state.owners) {
+    frames_[frame].owner = ast.Find(uid);
+    CHECK(frames_[frame].owner != nullptr) << "frame " << frame << " owner " << uid << " not active";
+  }
+}
+
 }  // namespace multics

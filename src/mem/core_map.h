@@ -45,6 +45,16 @@ class CoreMap {
   bool ModifiedBit(FrameIndex frame) const;
   void ClearUsedBit(FrameIndex frame);
 
+  // Frame records and free list, saved and restored with the kernel; each
+  // owner is held by its segment UID and re-resolved through the AST.
+  struct State {
+    std::vector<FrameInfo> frames;                          // Owners nulled.
+    std::vector<std::pair<FrameIndex, uint64_t>> owners;  // (frame, owner UID).
+    std::vector<FrameIndex> free_list;
+  };
+  State SaveState() const;
+  void RestoreState(const State& state, ActiveSegmentTable& ast);
+
  private:
   std::vector<FrameInfo> frames_;
   std::vector<FrameIndex> free_list_;

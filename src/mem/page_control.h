@@ -21,6 +21,8 @@
 #define SRC_MEM_PAGE_CONTROL_H_
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/base/stats.h"
 #include "src/base/status.h"
@@ -45,6 +47,18 @@ struct PageControlMetrics {
   Distribution fault_path_steps;  // Protected steps run in the faulting process.
 };
 
+// Page control's saved state (Kernel::Snapshot): metrics, the bulk-store
+// FIFO by segment UID, the replacement policy's bookkeeping, and the parallel
+// design's daemon counters. Only a quiescent page control (no daemon running,
+// no transfer in flight) can be saved.
+struct PageControlState {
+  PageControlMetrics metrics;
+  std::vector<std::pair<uint64_t, PageNo>> bulk_residents;  // (UID, page), oldest first.
+  std::vector<uint32_t> policy;
+  uint64_t core_daemon_wakeups = 0;
+  uint64_t bulk_daemon_wakeups = 0;
+};
+
 class PageControl {
  public:
   virtual ~PageControl() = default;
@@ -62,6 +76,10 @@ class PageControl {
 
   // Lets background machinery (daemons) make progress during idle time.
   virtual void PumpIdle() {}
+
+  virtual PageControlState SaveState() const = 0;
+  // Segment pointers are re-resolved through `ast`, already restored.
+  virtual void RestoreState(const PageControlState& state, ActiveSegmentTable& ast) = 0;
 
   const PageControlMetrics& metrics() const { return metrics_; }
   PageControlMetrics& metrics_mutable() { return metrics_; }

@@ -27,6 +27,29 @@ Status PageControlBase::WriteSyncUnlocked(PagingDevice* device, DevAddr addr,
   return device->WriteSync(addr, std::move(data));
 }
 
+PageControlState PageControlBase::SaveState() const {
+  PageControlState state{.metrics = metrics_,
+                         .bulk_residents = {},
+                         .policy = policy_->SaveState(),
+                         .core_daemon_wakeups = 0,
+                         .bulk_daemon_wakeups = 0};
+  for (const auto& [seg, page] : bulk_residents_) {
+    state.bulk_residents.emplace_back(seg->uid, page);
+  }
+  return state;
+}
+
+void PageControlBase::RestoreState(const PageControlState& state, ActiveSegmentTable& ast) {
+  metrics_ = state.metrics;
+  policy_->RestoreState(state.policy);
+  bulk_residents_.clear();
+  for (const auto& [uid, page] : state.bulk_residents) {
+    ActiveSegment* seg = ast.Find(uid);
+    CHECK(seg != nullptr) << "bulk-resident page of inactive segment " << uid;
+    bulk_residents_.emplace_back(seg, page);
+  }
+}
+
 void PageControlBase::AddBulkResident(ActiveSegment* seg, PageNo page) {
   bulk_residents_.emplace_back(seg, page);
 }

@@ -18,6 +18,8 @@ class PageControlBase : public PageControl {
                   ReplacementPolicy* policy);
 
   Status FlushSegment(ActiveSegment* seg) override;
+  PageControlState SaveState() const override;
+  void RestoreState(const PageControlState& state, ActiveSegmentTable& ast) override;
 
   CoreMap* core_map() const { return core_map_; }
   PagingDevice* bulk() const { return bulk_; }

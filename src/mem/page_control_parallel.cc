@@ -395,4 +395,23 @@ Status ParallelPageControl::FlushSegment(ActiveSegment* seg) {
 
 void ParallelPageControl::PumpIdle() { machine_->events().RunUntilIdle(); }
 
+PageControlState ParallelPageControl::SaveState() const {
+  CHECK(!core_daemon_running_ && !bulk_daemon_running_ && evictions_in_flight_ == 0 &&
+        bulk_moves_in_flight_ == 0)
+      << "parallel page control saved with daemon work in flight";
+  PageControlState state = PageControlBase::SaveState();
+  state.core_daemon_wakeups = core_daemon_wakeups_;
+  state.bulk_daemon_wakeups = bulk_daemon_wakeups_;
+  return state;
+}
+
+void ParallelPageControl::RestoreState(const PageControlState& state, ActiveSegmentTable& ast) {
+  CHECK(!core_daemon_running_ && !bulk_daemon_running_ && evictions_in_flight_ == 0 &&
+        bulk_moves_in_flight_ == 0)
+      << "parallel page control restored with daemon work in flight";
+  PageControlBase::RestoreState(state, ast);
+  core_daemon_wakeups_ = state.core_daemon_wakeups;
+  bulk_daemon_wakeups_ = state.bulk_daemon_wakeups;
+}
+
 }  // namespace multics

@@ -37,6 +37,8 @@ class ParallelPageControl : public PageControlBase {
   Status EnsureResident(ActiveSegment* seg, PageNo page, AccessMode mode) override;
   Status FlushSegment(ActiveSegment* seg) override;
   void PumpIdle() override;
+  PageControlState SaveState() const override;
+  void RestoreState(const PageControlState& state, ActiveSegmentTable& ast) override;
 
   // Metrics specific to the daemons.
   uint64_t core_daemon_wakeups() const { return core_daemon_wakeups_; }

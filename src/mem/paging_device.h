@@ -94,6 +94,45 @@ class PagingDevice {
   // A transfer is attempted at most this many times (1 initial + retries).
   static constexpr int kMaxTransferAttempts = 4;
 
+  // Stored pages, slot allocation, channel timelines and counters, saved and
+  // restored with the kernel; geometry, latencies and wiring stay.
+  struct State {
+    std::unordered_map<DevAddr, std::vector<Word>> store;
+    std::vector<DevAddr> free_list;
+    Cycles read_busy_until = 0;
+    Cycles write_busy_until = 0;
+    Cycles urgent_busy_until = 0;
+    uint64_t reads = 0;
+    uint64_t writes = 0;
+    uint64_t injected_faults = 0;
+    uint64_t retries = 0;
+    uint64_t failed_transfers = 0;
+  };
+  State SaveState() const {
+    return State{.store = store_,
+                 .free_list = free_list_,
+                 .read_busy_until = read_busy_until_,
+                 .write_busy_until = write_busy_until_,
+                 .urgent_busy_until = urgent_busy_until_,
+                 .reads = reads_,
+                 .writes = writes_,
+                 .injected_faults = injected_faults_,
+                 .retries = retries_,
+                 .failed_transfers = failed_transfers_};
+  }
+  void RestoreState(const State& state) {
+    store_ = state.store;
+    free_list_ = state.free_list;
+    read_busy_until_ = state.read_busy_until;
+    write_busy_until_ = state.write_busy_until;
+    urgent_busy_until_ = state.urgent_busy_until;
+    reads_ = state.reads;
+    writes_ = state.writes;
+    injected_faults_ = state.injected_faults;
+    retries_ = state.retries;
+    failed_transfers_ = state.failed_transfers;
+  }
+
  private:
   // Computes this transfer's completion time on one channel and marks that
   // channel busy.

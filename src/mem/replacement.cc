@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/base/log.h"
+
 namespace multics {
 namespace {
 
@@ -98,6 +100,15 @@ FrameIndex AgingLruPolicy::SelectVictim(CoreMap& core_map) {
     }
   }
   return best;
+}
+
+std::vector<uint32_t> ReplacementPolicy::SaveState() const {
+  CHECK(false) << "replacement policy " << name() << " cannot be saved";
+  return {};
+}
+
+void ReplacementPolicy::RestoreState(const std::vector<uint32_t>&) {
+  CHECK(false) << "replacement policy " << name() << " cannot be restored";
 }
 
 std::unique_ptr<ReplacementPolicy> MakePolicy(const std::string& name) {

@@ -29,6 +29,11 @@ class ReplacementPolicy {
   // Selects an in-use, unwired frame to evict, or kInvalidFrame if none
   // exists. May read and clear hardware used bits through the core map.
   virtual FrameIndex SelectVictim(CoreMap& core_map) = 0;
+
+  // The policy's bookkeeping as words, saved and restored with the kernel.
+  // A policy that does not override these cannot be saved (CHECKed).
+  virtual std::vector<uint32_t> SaveState() const;
+  virtual void RestoreState(const std::vector<uint32_t>& state);
 };
 
 // The classic clock (second-chance) algorithm Multics used: sweep a hand
@@ -40,6 +45,8 @@ class ClockPolicy : public ReplacementPolicy {
   void NotifyLoaded(FrameIndex frame) override;
   void NotifyFreed(FrameIndex frame) override;
   FrameIndex SelectVictim(CoreMap& core_map) override;
+  std::vector<uint32_t> SaveState() const override { return {hand_}; }
+  void RestoreState(const std::vector<uint32_t>& state) override { hand_ = state.at(0); }
 
  private:
   FrameIndex hand_ = 0;
@@ -52,6 +59,10 @@ class FifoPolicy : public ReplacementPolicy {
   void NotifyLoaded(FrameIndex frame) override;
   void NotifyFreed(FrameIndex frame) override;
   FrameIndex SelectVictim(CoreMap& core_map) override;
+  std::vector<uint32_t> SaveState() const override { return {queue_.begin(), queue_.end()}; }
+  void RestoreState(const std::vector<uint32_t>& state) override {
+    queue_.assign(state.begin(), state.end());
+  }
 
  private:
   std::deque<FrameIndex> queue_;
@@ -66,6 +77,8 @@ class AgingLruPolicy : public ReplacementPolicy {
   void NotifyLoaded(FrameIndex frame) override;
   void NotifyFreed(FrameIndex frame) override;
   FrameIndex SelectVictim(CoreMap& core_map) override;
+  std::vector<uint32_t> SaveState() const override { return age_; }
+  void RestoreState(const std::vector<uint32_t>& state) override { age_ = state; }
 
  private:
   std::vector<uint32_t> age_;

@@ -250,6 +250,56 @@ void Meter::Clear() {
   next_span_id_ = 1;
 }
 
+Meter::State Meter::SaveState() const {
+  CHECK(root_context_.stack.empty() && context_->stack.empty()) << "meter saved with a span open";
+  State state;
+  state.enabled = enabled_;
+  state.recorder = recorder_;
+  state.kind_totals = kind_totals_;
+  state.counters = counter_cells_;
+  state.distributions.reserve(dist_cells_.size());
+  for (const std::unique_ptr<Distribution>& dist : dist_cells_) {
+    state.distributions.push_back(*dist);
+  }
+  state.cell_slots = cell_slots_;
+  state.cell_count = cell_count_;
+  state.profile_cells = profile_cells_;
+  state.attribution = attribution_;
+  state.cpu = cpu_;
+  state.next_span_id = next_span_id_;
+  state.process_labels = process_labels_;
+  return state;
+}
+
+void Meter::RestoreState(const State& state) {
+  CHECK(root_context_.stack.empty() && context_->stack.empty())
+      << "meter restored with a span open";
+  CHECK(state.counters.size() <= counter_cells_.size() &&
+        state.distributions.size() <= dist_cells_.size())
+      << "meter state from another meter";
+  enabled_ = state.enabled;
+  recorder_ = state.recorder;
+  kind_totals_ = state.kind_totals;
+  std::copy(state.counters.begin(), state.counters.end(), counter_cells_.begin());
+  std::fill(counter_cells_.begin() + static_cast<ptrdiff_t>(state.counters.size()),
+            counter_cells_.end(), CounterCell{});
+  for (size_t id = 0; id < dist_cells_.size(); ++id) {
+    if (id < state.distributions.size()) {
+      *dist_cells_[id] = state.distributions[id];
+    } else {
+      dist_cells_[id]->Clear();
+    }
+  }
+  cell_slots_ = state.cell_slots;
+  cell_count_ = state.cell_count;
+  profile_cells_ = state.profile_cells;
+  profile_view_valid_ = false;
+  attribution_ = state.attribution;
+  cpu_ = state.cpu;
+  next_span_id_ = state.next_span_id;
+  process_labels_ = state.process_labels;
+}
+
 TraceSpan::TraceSpan(Meter* meter, StaticName name, MeterId& dist, uint64_t arg)
     : meter_(meter != nullptr && meter->enabled() ? meter : nullptr), name_(name), dist_(dist) {
   if (meter_ == nullptr) {

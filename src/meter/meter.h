@@ -191,6 +191,15 @@ class Meter {
   // frames would fold into a cleared profile with a stale parent chain.
   void Clear();
 
+  // Everything recorded, saved and restored with the kernel (Kernel::Snapshot).
+  // Interning is append-only and survives a restore, so every id an owner
+  // holds stays valid: names interned after the save read as registered but
+  // never recorded. The current context is the caller's to re-install (the
+  // kernel maps it by pid); only a meter with no open span can be saved.
+  struct State;
+  State SaveState() const;
+  void RestoreState(const State& state);
+
  private:
   // Interned call-path node: `full` is the ';'-joined spelling, kept so the
   // export view can be rebuilt without walking any span stack.
@@ -279,6 +288,22 @@ class Meter {
   // Export-side view of the profile cells, rebuilt on demand (cold).
   mutable std::map<ProfileKey, ProfileEntry> profile_view_;
   mutable bool profile_view_valid_ = true;
+
+ public:
+  struct State {
+    bool enabled = true;
+    FlightRecorder recorder{0};
+    std::array<uint64_t, kTraceEventKindCount> kind_totals{};
+    std::vector<CounterCell> counters;      // Id-indexed, ids interned at the save.
+    std::vector<Distribution> distributions;  // Likewise.
+    std::vector<CellSlot> cell_slots;
+    size_t cell_count = 0;
+    std::vector<ProfileCell> profile_cells;
+    Attribution attribution{};
+    uint32_t cpu = 0;
+    uint64_t next_span_id = 1;
+    std::map<uint64_t, std::string> process_labels;
+  };
 };
 
 // RAII helper for nested durations: opens a causal span (kSpanBegin) on

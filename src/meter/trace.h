@@ -68,9 +68,8 @@ struct TraceEvent {
 class FlightRecorder {
  public:
   // Reserves room for `capacity` events without touching it: the ring costs
-  // host memory only as events arrive, so a world that records a handful of
-  // events (the model checker rebuilds tens of thousands) never pays for the
-  // whole ring.
+  // host memory only as events arrive, so a kernel that records a handful of
+  // events never pays for the whole ring.
   explicit FlightRecorder(size_t capacity);
 
   // Inline: every span open/close and event lands here — a couple million

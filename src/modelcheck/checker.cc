@@ -56,7 +56,9 @@ McConfig McConfig::Deep() {
   config.with_remove_acl = true;
   config.with_seg_set_length = true;
   config.usage_cap = 1;
-  config.max_depth = 3;  // Replay-based BFS: depth, not state count, bounds time.
+  // No fixed point: 4-6x more states per level. Depth keeps the certify run
+  // to seconds; the state cap stops a deeper run.
+  config.max_depth = 3;
   config.max_states = 50000;
   return config;
 }
@@ -76,7 +78,10 @@ std::string Op::ToString() const {
 }
 
 std::vector<Op> BuildAlphabet(const McConfig& config) {
+  const int per_segment = 2 + config.acl_variants + (config.with_remove_acl ? 1 : 0) +
+                          config.bracket_variants + (config.with_seg_set_length ? 2 : 0);
   std::vector<Op> ops;
+  ops.reserve(static_cast<size_t>(std::max(0, config.processes * config.segments * per_segment)));
   for (int p = 0; p < config.processes; ++p) {
     for (int s = 0; s < config.segments; ++s) {
       ops.push_back({OpKind::kInitiate, p, s, 0});
@@ -148,7 +153,7 @@ OracleLabel ToOracleLabel(const MlsLabel& label) {
   return OracleLabel{static_cast<int>(label.level), label.categories.bits()};
 }
 
-std::string SegName(int seg) { return "s" + std::to_string(seg); }
+std::string SegName(int seg) { return std::string("s").append(std::to_string(seg)); }
 
 AclEntry AclVariant(int variant) {
   AclEntry entry;  // "*.*.*"
@@ -235,8 +240,8 @@ uint64_t XorShift64(uint64_t* state) {
 
 }  // namespace
 
-// One rebuilt universe: the kernel under test plus the oracle's mirror of the
-// protection state the replayed trace should have produced.
+// One universe: the kernel under test plus the oracle's mirror of the
+// protection state the applied trace should have produced.
 struct ModelChecker::World {
   std::unique_ptr<Kernel> kernel;
   std::vector<Process*> procs;
@@ -244,10 +249,26 @@ struct ModelChecker::World {
   std::vector<SegNo> root_segnos;  // Per process.
   Uid root_uid = kInvalidUid;
   OracleWorld oracle;
-  std::vector<std::string> trace;  // "op -> outcome" lines, in replay order.
+  std::vector<std::string> trace;  // "op -> outcome" lines, in application order.
   // Lock-order violations attributed by the LockTrace observer hook; a
   // per-transition delta names the gate call that produced each one.
   uint64_t lock_violations_observed = 0;
+
+  // Everything a transition changes: the kernel's state, the mirror and the
+  // trace. The layout above (processes, segments, root) never changes.
+  struct Saved {
+    KernelSnapshot kernel;
+    OracleWorld oracle;
+    std::vector<std::string> trace;
+    uint64_t lock_violations_observed = 0;
+  };
+  Saved Save() const { return Saved{kernel->Snapshot(), oracle, trace, lock_violations_observed}; }
+  void Rewind(const Saved& saved) {
+    kernel->Restore(saved.kernel);
+    oracle = saved.oracle;
+    trace = saved.trace;
+    lock_violations_observed = saved.lock_violations_observed;
+  }
 };
 
 ModelChecker::ModelChecker(const McConfig& config)
@@ -312,10 +333,11 @@ std::unique_ptr<ModelChecker::World> ModelChecker::BuildWorld() const {
 
   // Processes p0..pN-1 on the same ladder, ring 4, connected to the root.
   for (int p = 0; p < config_.processes; ++p) {
-    const Principal principal{"u" + std::to_string(p), "Mc", "a"};
+    const Principal principal{std::string("u").append(std::to_string(p)), "Mc", "a"};
     const MlsLabel clearance = LabelFor(p, config_.levels);
     Process* process =
-        kernel.BootstrapProcess("p" + std::to_string(p), principal, clearance).value();
+        kernel.BootstrapProcess(std::string("p").append(std::to_string(p)), principal, clearance)
+            .value();
     world->procs.push_back(process);
 
     OracleSubject subject;
@@ -553,7 +575,7 @@ std::string ModelChecker::ApplyAndCheck(World* world, const Op& op,
       const uint32_t usage = segno.ok() ? proc.kst().UsageCount(segno.value()) : 0;
       if (usage != conn.usage) {
         AddViolation(*world, "oracle-diff",
-                     "p" + std::to_string(i) + "/s" + std::to_string(s) + " KST usage " +
+                     std::string("p").append(std::to_string(i)) + "/s" + std::to_string(s) + " KST usage " +
                          std::to_string(usage) + " but oracle mirror says " +
                          std::to_string(conn.usage),
                      out);
@@ -562,7 +584,7 @@ std::string ModelChecker::ApplyAndCheck(World* world, const Op& op,
       const bool connected = segno.ok() && proc.dseg().Get(segno.value()).valid;
       if (connected != conn.connected) {
         AddViolation(*world, "oracle-diff",
-                     "p" + std::to_string(i) + "/s" + std::to_string(s) + " descriptor is " +
+                     std::string("p").append(std::to_string(i)) + "/s" + std::to_string(s) + " descriptor is " +
                          (connected ? "connected" : "disconnected") +
                          " but the oracle mirror says " +
                          (conn.connected ? "connected" : "disconnected") +
@@ -657,27 +679,46 @@ McResult ModelChecker::Explore() {
   McResult result;
   result.stats.alphabet = alphabet_.size();
 
+  // One world serves the whole search. The frontier holds generating
+  // prefixes, so its memory stays flat: a dequeued state is rebuilt once, by
+  // restoring the boot state and replaying its prefix, and each of its
+  // successors starts from a restore of that parent.
+  auto world = BuildWorld();
+  const World::Saved boot = world->Save();
+
   // Seen-set keyed on the FULL canonical string: a hash collision would merge
   // distinct states and silently prune reachable ones.
   std::set<std::string> seen;
   std::deque<std::vector<Op>> frontier;
-  {
-    auto world = BuildWorld();
-    seen.insert(CanonicalState(world.get()));
-    result.stats.states = 1;
-    CertifyState(world.get(), &result.violations);
-    frontier.push_back({});
-  }
+  seen.insert(CanonicalState(world.get()));
+  result.stats.states = 1;
+  CertifyState(world.get(), &result.violations);
+  frontier.push_back({});
 
   bool truncated = false;
+  std::vector<const Op*> applicable;
   while (!frontier.empty() && result.violations.size() < kMaxViolations) {
-    const std::vector<Op> prefix = frontier.front();
+    const std::vector<Op> prefix = std::move(frontier.front());
     frontier.pop_front();
     if (config_.max_depth != 0 && prefix.size() >= config_.max_depth) {
       truncated = true;
       continue;
     }
+    world->Rewind(boot);
+    for (const Op& prev : prefix) {
+      std::vector<McViolation> replay_sink;  // Already reported on first visit.
+      (void)ApplyAndCheck(world.get(), prev, &replay_sink);
+    }
+    applicable.clear();
     for (const Op& op : alphabet_) {
+      if (Applicable(*world, op)) {
+        applicable.push_back(&op);
+      }
+    }
+    const World::Saved parent = world->Save();
+    bool at_parent = true;
+    for (const Op* candidate : applicable) {
+      const Op& op = *candidate;
       if (result.violations.size() >= kMaxViolations) {
         break;
       }
@@ -685,15 +726,10 @@ McResult ModelChecker::Explore() {
         truncated = true;
         break;
       }
-      // The kernel is non-copyable: rebuild and replay the generating prefix.
-      auto world = BuildWorld();
-      for (const Op& prev : prefix) {
-        std::vector<McViolation> replay_sink;  // Already reported on first visit.
-        (void)ApplyAndCheck(world.get(), prev, &replay_sink);
+      if (!at_parent) {
+        world->Rewind(parent);
       }
-      if (!Applicable(*world, op)) {
-        continue;
-      }
+      at_parent = false;
       ++result.stats.transitions;
       ApplyAndCheck(world.get(), op, &result.violations);
       const std::string canon = CanonicalState(world.get());

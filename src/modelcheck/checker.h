@@ -18,12 +18,16 @@
 // dseg/KST/store agreement, lock-order freedom over the LockTrace that PR 5's
 // observer hook attributes to the violating gate call).
 //
-// Because the Kernel is non-copyable, states are represented by their
-// generating op prefix and rebuilt by replay; the seen-set keys on the full
-// canonical state string (never a hash alone, so distinct states cannot
-// merge). Clocks and the audit log are excluded from the canonical state —
-// they grow monotonically and would prevent the fixed point — which is sound
-// because no access decision reads them.
+// One kernel serves the whole search. The frontier holds each state's
+// generating op prefix, so its memory stays flat; a dequeued state is rebuilt
+// once, by restoring the boot snapshot (Kernel::Snapshot/Restore) and
+// replaying its prefix, and every successor starts from a restore of that
+// parent — ops the parent state makes inapplicable are skipped before any
+// work. The seen-set keys on the full canonical state string (never a hash
+// alone, so distinct states cannot merge). Clocks and the audit log are
+// excluded from the canonical state — they grow monotonically and would
+// prevent the fixed point — which is sound because no access decision reads
+// them.
 //
 // The same machinery runs as a differential fuzzer (Fuzz): one long-lived
 // world, a seeded xorshift stream of ops from the full alphabet (including

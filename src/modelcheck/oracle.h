@@ -75,8 +75,6 @@ struct OracleBrackets {
   int r1 = 4;
   int r2 = 4;
   int r3 = 4;
-
-  bool Monotonic() const { return r1 <= r2 && r2 <= r3; }
 };
 
 bool OracleRingAllowsWrite(int ring, const OracleBrackets& b);    // ring <= r1

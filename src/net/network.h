@@ -52,6 +52,29 @@ class NetworkAttachment {
   uint64_t packets_out() const { return packets_out_; }
   uint64_t total_lost() const;
 
+  // Counters and the connection-id sequence, saved and restored with the
+  // kernel. Only an attachment with no open connection can be saved.
+  struct State {
+    ConnId next_conn = 1;
+    uint64_t packets_in = 0;
+    uint64_t packets_out = 0;
+    uint64_t lost_on_closed = 0;
+  };
+  State SaveState() const {
+    CHECK(connections_.empty()) << "network attachment saved with open connections";
+    return State{.next_conn = next_conn_,
+                 .packets_in = packets_in_,
+                 .packets_out = packets_out_,
+                 .lost_on_closed = lost_on_closed_};
+  }
+  void RestoreState(const State& state) {
+    CHECK(connections_.empty()) << "network attachment restored with open connections";
+    next_conn_ = state.next_conn;
+    packets_in_ = state.packets_in;
+    packets_out_ = state.packets_out;
+    lost_on_closed_ = state.lost_on_closed;
+  }
+
  private:
   struct Connection {
     std::string remote;

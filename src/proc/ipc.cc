@@ -12,6 +12,30 @@ void EventChannelTable::Count(MeterId& id, std::string_view name) {
   meter_->Count(id);
 }
 
+EventChannelTable::State EventChannelTable::SaveState() const {
+  State state{{}, next_id_, total_wakeups_};
+  state.slots.reserve(slots_.size());
+  for (const std::unique_ptr<Channel>& channel : slots_) {
+    state.slots.push_back(channel == nullptr ? std::nullopt : std::optional<Channel>(*channel));
+  }
+  return state;
+}
+
+void EventChannelTable::RestoreState(const State& state) {
+  slots_.resize(state.slots.size());
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (!state.slots[i].has_value()) {
+      slots_[i].reset();
+    } else if (slots_[i] == nullptr) {
+      slots_[i] = std::make_unique<Channel>(*state.slots[i]);
+    } else {
+      *slots_[i] = *state.slots[i];
+    }
+  }
+  next_id_ = state.next_id;
+  total_wakeups_ = state.total_wakeups;
+}
+
 ChannelId EventChannelTable::Create(ProcessId owner, uint64_t guard_uid) {
   ChannelId id = next_id_++;
   auto channel = std::make_unique<Channel>();

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -89,6 +90,17 @@ class EventChannelTable {
   std::vector<std::unique_ptr<Channel>> slots_;
   ChannelId next_id_ = 1;
   uint64_t total_wakeups_ = 0;
+
+ public:
+  // Channels with their queues and waiters, saved and restored with the
+  // kernel; the meter is wiring.
+  struct State {
+    std::vector<std::optional<Channel>> slots;  // Id-indexed from 1; empty = destroyed.
+    ChannelId next_id = 1;
+    uint64_t total_wakeups = 0;
+  };
+  State SaveState() const;
+  void RestoreState(const State& state);
 };
 
 }  // namespace multics

@@ -86,6 +86,7 @@ class Process {
   TraceContext& trace_context() { return trace_context_; }
 
   DescriptorSegment& dseg() { return dseg_; }
+  const DescriptorSegment& dseg() const { return dseg_; }
   KnownSegmentTable& kst() { return kst_; }
   const KnownSegmentTable& kst() const { return kst_; }
 
@@ -128,6 +129,54 @@ class Process {
   // flag, so a blocked→ready transition can never double-insert a process.
   bool in_run_queue() const { return in_run_queue_; }
   void set_in_run_queue(bool in) { in_run_queue_ = in; }
+
+  // Everything about the process that gates and the scheduler change: ring,
+  // KST, descriptor segment, scheduling fields and accounting. Identity
+  // (pid, name, principal, clearance) and the program are fixed at creation.
+  // A restored descriptor segment keeps its saved page-table addresses until
+  // the kernel re-resolves them through the AST.
+  struct State {
+    RingNumber ring = kRingUser;
+    KnownSegmentTable kst;
+    DescriptorSegment::Image dseg;
+    TaskState state = TaskState::kReady;
+    ChannelId blocked_on = 0;
+    uint32_t last_cpu = kNoCpu;
+    Cycles ready_since = 0;
+    uint32_t work_class = 0;
+    uint32_t sched_level = 0;
+    Cycles quantum_used = 0;
+    bool in_run_queue = false;
+    ProcessAccounting accounting;
+  };
+  State SaveState() const {
+    return State{.ring = ring_,
+                 .kst = kst_,
+                 .dseg = dseg_.SaveImage(),
+                 .state = state_,
+                 .blocked_on = blocked_on_,
+                 .last_cpu = last_cpu_,
+                 .ready_since = ready_since_,
+                 .work_class = work_class_,
+                 .sched_level = sched_level_,
+                 .quantum_used = quantum_used_,
+                 .in_run_queue = in_run_queue_,
+                 .accounting = accounting_};
+  }
+  void RestoreState(const State& state) {
+    set_ring(state.ring);
+    kst_ = state.kst;
+    dseg_.RestoreImage(state.dseg);
+    state_ = state.state;
+    blocked_on_ = state.blocked_on;
+    last_cpu_ = state.last_cpu;
+    ready_since_ = state.ready_since;
+    work_class_ = state.work_class;
+    sched_level_ = state.sched_level;
+    quantum_used_ = state.quantum_used;
+    in_run_queue_ = state.in_run_queue;
+    accounting_ = state.accounting;
+  }
 
  private:
   ProcessId pid_;

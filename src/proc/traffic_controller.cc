@@ -626,4 +626,107 @@ uint64_t TrafficController::RunUntilQuiescent(uint64_t max_slices) {
   return slices;
 }
 
+// --- Snapshot -----------------------------------------------------------------------
+
+TrafficController::State TrafficController::SaveState() const {
+  auto pid_of = [](const Process* process) {
+    return process == nullptr ? kNoProcess : process->pid();
+  };
+  State state;
+  state.channels = channels_.SaveState();
+  state.processes.reserve(processes_.size());
+  for (const auto& [pid, process] : processes_) {
+    CHECK(process->trace_context().stack.empty()) << "process " << pid << " saved with a span open";
+    state.processes.emplace_back(pid, process->SaveState());
+  }
+  state.two_layer = two_layer_;
+  for (const Process* process : dedicated_) state.dedicated.push_back(pid_of(process));
+  for (const Process* process : ready_queue_) state.ready_queue.push_back(pid_of(process));
+  state.dedicated_cursor = dedicated_cursor_;
+  state.policy = policy_;
+  state.base_quantum = base_quantum_;
+  state.classes = classes_;
+  state.run_queues.resize(run_queues_.size());
+  for (size_t cpu = 0; cpu < run_queues_.size(); ++cpu) {
+    state.run_queues[cpu].resize(run_queues_[cpu].size());
+    for (size_t k = 0; k < run_queues_[cpu].size(); ++k) {
+      for (uint32_t level = 0; level < kSchedLevels; ++level) {
+        for (const Process* process : run_queues_[cpu][k].level[level]) {
+          state.run_queues[cpu][k][level].push_back(pid_of(process));
+        }
+      }
+    }
+  }
+  state.next_home_cpu = next_home_cpu_;
+  state.dispatch_seq = dispatch_seq_;
+  state.trace_limit = trace_limit_;
+  state.dispatch_trace = dispatch_trace_;
+  state.interrupt_strategy = interrupt_strategy_;
+  state.handlers = handlers_;
+  state.last_running = pid_of(last_running_);
+  for (const Process* process : last_on_cpu_) state.last_on_cpu.push_back(pid_of(process));
+  state.next_pid = next_pid_;
+  state.interrupt_latency = interrupt_latency_;
+  state.context_switches = context_switches_;
+  state.idle_jumps = idle_jumps_;
+  state.promotions = promotions_;
+  state.demotions = demotions_;
+  state.steals = steals_;
+  return state;
+}
+
+void TrafficController::RestoreState(const State& state) {
+  CHECK(state.next_pid == next_pid_ && state.processes.size() == processes_.size())
+      << "traffic controller restored across process creation";
+  auto process_of = [this](ProcessId pid) -> Process* {
+    if (pid == kNoProcess) return nullptr;
+    Process* process = Find(pid);
+    CHECK(process != nullptr) << "no process " << pid;
+    return process;
+  };
+  auto processes_of = [&](const std::vector<ProcessId>& pids, auto* out) {
+    out->clear();
+    for (ProcessId pid : pids) out->push_back(process_of(pid));
+  };
+  channels_.RestoreState(state.channels);
+  for (const auto& [pid, process_state] : state.processes) {
+    Process* process = process_of(pid);
+    CHECK(process->trace_context().stack.empty()) << "process " << pid << " restored with a span open";
+    process->RestoreState(process_state);
+  }
+  two_layer_ = state.two_layer;
+  processes_of(state.dedicated, &dedicated_);
+  processes_of(state.ready_queue, &ready_queue_);
+  dedicated_cursor_ = state.dedicated_cursor;
+  policy_ = state.policy;
+  base_quantum_ = state.base_quantum;
+  classes_ = state.classes;
+  run_queues_.resize(state.run_queues.size());
+  for (size_t cpu = 0; cpu < run_queues_.size(); ++cpu) {
+    run_queues_[cpu].resize(state.run_queues[cpu].size());
+    for (size_t k = 0; k < run_queues_[cpu].size(); ++k) {
+      RunQueue& rq = run_queues_[cpu][k];
+      rq.count = 0;
+      for (uint32_t level = 0; level < kSchedLevels; ++level) {
+        processes_of(state.run_queues[cpu][k][level], &rq.level[level]);
+        rq.count += rq.level[level].size();
+      }
+    }
+  }
+  next_home_cpu_ = state.next_home_cpu;
+  dispatch_seq_ = state.dispatch_seq;
+  trace_limit_ = state.trace_limit;
+  dispatch_trace_ = state.dispatch_trace;
+  interrupt_strategy_ = state.interrupt_strategy;
+  handlers_ = state.handlers;
+  last_running_ = process_of(state.last_running);
+  processes_of(state.last_on_cpu, &last_on_cpu_);
+  interrupt_latency_ = state.interrupt_latency;
+  context_switches_ = state.context_switches;
+  idle_jumps_ = state.idle_jumps;
+  promotions_ = state.promotions;
+  demotions_ = state.demotions;
+  steals_ = state.steals;
+}
+
 }  // namespace multics

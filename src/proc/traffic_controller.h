@@ -136,6 +136,12 @@ class TrafficController {
       fn(*process);
     }
   }
+  template <typename Fn>
+  void ForEachProcess(Fn&& fn) const {
+    for (const auto& [pid, process] : processes_) {
+      fn(static_cast<const Process&>(*process));
+    }
+  }
   uint32_t process_count() const { return static_cast<uint32_t>(processes_.size()); }
   uint32_t dedicated_count() const { return static_cast<uint32_t>(dedicated_.size()); }
   uint32_t vp_count() const { return vp_count_; }
@@ -283,6 +289,41 @@ class TrafficController {
   uint64_t promotions_ = 0;
   uint64_t demotions_ = 0;
   uint64_t steals_ = 0;
+
+ public:
+  // Scheduler, channels and every process's State, with processes named by
+  // pid (Kernel::Snapshot). Restoring requires the same process set: the
+  // Process objects, and every pointer to them, survive.
+  struct State {
+    EventChannelTable::State channels;
+    std::vector<std::pair<ProcessId, Process::State>> processes;  // Table order.
+    bool two_layer = true;
+    std::vector<ProcessId> dedicated;
+    std::vector<ProcessId> ready_queue;
+    size_t dedicated_cursor = 0;
+    SchedulerPolicy policy = SchedulerPolicy::kMultilevelFeedback;
+    Cycles base_quantum = 0;
+    std::vector<WorkClass> classes;
+    // [cpu][work class][level], front first.
+    std::vector<std::vector<std::array<std::vector<ProcessId>, kSchedLevels>>> run_queues;
+    uint32_t next_home_cpu = 0;
+    uint64_t dispatch_seq = 0;
+    size_t trace_limit = 0;
+    std::vector<DispatchRecord> dispatch_trace;
+    InterruptStrategy interrupt_strategy = InterruptStrategy::kDedicatedProcesses;
+    std::unordered_map<InterruptLine, HandlerSpec> handlers;
+    ProcessId last_running = kNoProcess;
+    std::vector<ProcessId> last_on_cpu;
+    ProcessId next_pid = 1;
+    Distribution interrupt_latency;
+    uint64_t context_switches = 0;
+    uint64_t idle_jumps = 0;
+    uint64_t promotions = 0;
+    uint64_t demotions = 0;
+    uint64_t steals = 0;
+  };
+  State SaveState() const;
+  void RestoreState(const State& state);
 };
 
 }  // namespace multics

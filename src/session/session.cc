@@ -62,7 +62,7 @@ TaskState SessionTask::DoSetup(TaskContext& ctx) {
   dir_segno_ = dir->segno;
   lib_segno_ = lib->segno;
 
-  scratch_name_ = "s" + std::to_string(index_);
+  scratch_name_ = std::string("s").append(std::to_string(index_));
   SegmentAttributes attrs;
   attrs.acl.Set(AclEntry{"*", "*", "*", kModeRead | kModeWrite});
   if (!kernel_->FsCreateSegment(self, dir_segno_, scratch_name_, attrs).ok()) {

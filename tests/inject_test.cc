@@ -283,7 +283,7 @@ TEST_F(InjectKernelTest, MemoryParityFaultSurfacesToProgram) {
 TEST_F(InjectTest, TornCreateSegmentLeavesOrphanSalvageReattaches) {
   auto dir = hierarchy_.CreateDirectory(hierarchy_.root(), "d", Any(), /*quota=*/8);
   ASSERT_TRUE(dir.ok());
-  SecuritySnapshot before = CaptureSecuritySnapshot(hierarchy_);
+  const SegmentStore::State before = store_.SaveState();
 
   InjectionPlan plan;
   plan.Add(FaultSpec{.kind = FaultKind::kHierarchyTear, .match = "create_segment"});
@@ -303,7 +303,7 @@ TEST_F(InjectTest, TornCreateSegmentLeavesOrphanSalvageReattaches) {
 }
 
 TEST_F(InjectTest, TornCreateDirectoryRebuildsCatalogue) {
-  SecuritySnapshot before = CaptureSecuritySnapshot(hierarchy_);
+  const SegmentStore::State before = store_.SaveState();
 
   InjectionPlan plan;
   plan.Add(FaultSpec{.kind = FaultKind::kHierarchyTear, .match = "create_directory"});
@@ -322,7 +322,7 @@ TEST_F(InjectTest, TornCreateDirectoryRebuildsCatalogue) {
 TEST_F(InjectTest, TornDeleteLeavesDanglingEntrySalvageRemoves) {
   auto seg = hierarchy_.CreateSegment(hierarchy_.root(), "victim", Any());
   ASSERT_TRUE(seg.ok());
-  SecuritySnapshot before = CaptureSecuritySnapshot(hierarchy_);
+  const SegmentStore::State before = store_.SaveState();
 
   InjectionPlan plan;
   plan.Add(FaultSpec{.kind = FaultKind::kHierarchyTear, .match = "delete_entry"});
@@ -343,7 +343,7 @@ TEST_F(InjectTest, TornDeleteLeavesDanglingEntrySalvageRemoves) {
 TEST_F(InjectTest, TornRenameOrphansBranchSalvageReattaches) {
   auto seg = hierarchy_.CreateSegment(hierarchy_.root(), "old", Any());
   ASSERT_TRUE(seg.ok());
-  SecuritySnapshot before = CaptureSecuritySnapshot(hierarchy_);
+  const SegmentStore::State before = store_.SaveState();
 
   InjectionPlan plan;
   plan.Add(FaultSpec{.kind = FaultKind::kHierarchyTear, .match = "rename"});

@@ -195,9 +195,10 @@ std::unique_ptr<Kernel> RunWorkload(bool meter_enabled) {
   for (int i = 0; i < 8; ++i) {
     SegmentAttributes attrs;
     attrs.acl.Set(AclEntry{"Jones", "Faculty", "*", kModeRead | kModeWrite | kModeExecute});
-    auto uid = kernel->FsCreateSegment(*user.value(), home.value(), "w" + std::to_string(i), attrs);
+    const std::string name = std::string("w").append(std::to_string(i));
+    auto uid = kernel->FsCreateSegment(*user.value(), home.value(), name, attrs);
     CHECK(uid.ok());
-    auto init = kernel->Initiate(*user.value(), home.value(), "w" + std::to_string(i));
+    auto init = kernel->Initiate(*user.value(), home.value(), name);
     CHECK(init.ok());
     CHECK(kernel->SegSetLength(*user.value(), init->segno, 2) == Status::kOk);
     CHECK(kernel->RunAs(*user.value()) == Status::kOk);

@@ -80,6 +80,21 @@ TEST(ModelCheckTest, FastConfigurationExploresCleanToFixedPoint) {
   EXPECT_EQ(result.stats.alphabet, 20u);
 }
 
+TEST(ModelCheckTest, DeepConfigurationCountsArePinnedAtDepthTwo) {
+  // Deep (3x3x3, 90-op alphabet) cut at depth 2: the counts the replay-based
+  // search produced, pinned so the restore-based search is held to them.
+  McConfig config = McConfig::Deep();
+  config.max_depth = 2;
+  ModelChecker checker(config);
+  const McResult result = checker.Explore();
+  EXPECT_TRUE(result.clean()) << result.ToString();
+  EXPECT_EQ(result.stats.states, 259u);
+  EXPECT_EQ(result.stats.transitions, 1404u);
+  EXPECT_EQ(result.stats.max_depth, 2u);
+  EXPECT_EQ(result.stats.alphabet, 90u);
+  EXPECT_FALSE(result.stats.fixed_point);
+}
+
 TEST(ModelCheckTest, DepthBoundedExplorationIsDeterministic) {
   const McConfig config = Shallow();
   ModelChecker first(config);

@@ -59,7 +59,7 @@ TEST_P(StressTest, RandomMultiUserWorkloadPreservesInvariants) {
     ++operations;
     switch (rng.NextBelow(8)) {
       case 0: {  // Create a segment.
-        std::string name = "s" + std::to_string(rng.NextBelow(40));
+        std::string name = std::string("s").append(std::to_string(rng.NextBelow(40)));
         SegmentAttributes attrs;
         attrs.acl.Set(AclEntry{process.principal().person, process.principal().project, "*",
                                kModeRead | kModeWrite});
@@ -121,7 +121,7 @@ TEST_P(StressTest, RandomMultiUserWorkloadPreservesInvariants) {
           break;
         }
         size_t index = rng.NextBelow(actor.created.size());
-        std::string to = "r" + std::to_string(rng.NextBelow(40));
+        std::string to = std::string("r").append(std::to_string(rng.NextBelow(40)));
         Status st = kernel.FsRename(process, actor.home, actor.created[index], to);
         if (st == Status::kOk) {
           actor.created[index] = to;
@@ -225,7 +225,7 @@ TEST(FaultStormTest, SeededStormPreservesSecurityInvariants) {
 
   // The pre-storm security state: the storm must not be able to change any
   // of it, no matter what it tears.
-  SecuritySnapshot before = CaptureSecuritySnapshot(kernel.hierarchy());
+  const SegmentStore::State before = kernel.store().SaveState();
 
   Rng rng(20260806);
   InjectionPlan plan;
@@ -246,7 +246,7 @@ TEST(FaultStormTest, SeededStormPreservesSecurityInvariants) {
     Process& process = *actor.process;
     switch (rng.NextBelow(6)) {
       case 0: {  // Create.
-        std::string name = "s" + std::to_string(rng.NextBelow(40));
+        std::string name = std::string("s").append(std::to_string(rng.NextBelow(40)));
         SegmentAttributes attrs;
         attrs.acl.Set(AclEntry{process.principal().person, process.principal().project, "*",
                                kModeRead | kModeWrite});
@@ -307,7 +307,7 @@ TEST(FaultStormTest, SeededStormPreservesSecurityInvariants) {
           break;
         }
         size_t index = rng.NextBelow(actor.created.size());
-        std::string to = "r" + std::to_string(rng.NextBelow(40));
+        std::string to = std::string("r").append(std::to_string(rng.NextBelow(40)));
         Status st = kernel.FsRename(process, actor.home, actor.created[index], to);
         if (st == Status::kOk) {
           actor.created[index] = to;
