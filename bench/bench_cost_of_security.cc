@@ -83,12 +83,10 @@ CostBreakdown RunWorkload(const KernelConfiguration& config, const std::string& 
   // whole measured window lives under one root span, so the attribution
   // profile's self-cycles sum to exactly the session's charged cycles.
   {
-  MeterId session_dist = kInvalidMeterId;
-  MeterId round_dist = kInvalidMeterId;
-  TraceSpan session_span(&meter, "session", session_dist);
+  TraceSpan session_span(&meter, SpanId::kSession);
   SegNo home = resolve(">udd>Faculty>Jones");
   for (int round = 0; round < rounds; ++round) {  // 60 pages: inside the project quota.
-    TraceSpan round_span(&meter, "session_round", round_dist, static_cast<uint64_t>(round));
+    TraceSpan round_span(&meter, SpanId::kSessionRound, static_cast<uint64_t>(round));
     for (int i = 0; i < segments_per_round; ++i) {
       std::string name = std::string("w").append(std::to_string(round)) + "_" + std::to_string(i);
       SegmentAttributes attrs;

@@ -122,8 +122,9 @@ int main() {
   for (const AuditRecord& record : kernel.audit().recent()) {
     if (record.outcome != Status::kOk) {
       std::printf("  t=%-8llu %-24s %-16s uid=%llu %s\n",
-                  static_cast<unsigned long long>(record.time), record.principal.c_str(),
-                  record.operation.c_str(), static_cast<unsigned long long>(record.uid),
+                  static_cast<unsigned long long>(record.time),
+                  record.principal.ToString().c_str(), SpanName(record.operation),
+                  static_cast<unsigned long long>(record.uid),
                   StatusName(record.outcome).data());
     }
   }

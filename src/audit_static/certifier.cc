@@ -103,7 +103,7 @@ void StaticCertifier::CheckGates(AuditReport* report) {
   for (size_t i = 0; i < kGateCount; ++i) {
     if (registered.test(i) == expected.test(i)) continue;
     report->findings.push_back(
-        {AuditClaim::kGateRegistry, GateName(GateAt(i)).c_str(), kInvalidUid, 0, 0,
+        {AuditClaim::kGateRegistry, GateName(GateAt(i)), kInvalidUid, 0, 0,
          registered.test(i)
              ? "gate registered in the live table but absent from the configuration's census"
              : "gate in the configuration's census but missing from the live table"});

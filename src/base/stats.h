@@ -1,7 +1,8 @@
-// Measurement primitives used by the experiment harnesses: the StaticName
-// type that names trace events and spans, and percentile-capable sample
-// sets. Benches report fault latencies, jitter, etc. through these. The
-// cycle-charge totals are a census-indexed CounterSet (src/hw/charge.h).
+// Measurement primitives used by the experiment harnesses: percentile-capable
+// sample sets. Benches report fault latencies, jitter, etc. through these.
+// Names are typed elsewhere: cycle charges are ChargeKind (src/hw/charge.h),
+// spans, trace events and audit operations are SpanId
+// (src/meter/span_census.h), counters are interned MeterIds (meter.h).
 
 #ifndef SRC_BASE_STATS_H_
 #define SRC_BASE_STATS_H_
@@ -11,26 +12,6 @@
 #include <vector>
 
 namespace multics {
-
-// A name with static storage duration: the name type of whatever keeps a
-// name by pointer — trace events (Meter::Emit), causal spans (OpenSpan,
-// TraceSpan) and gate names. The constructor is consteval and takes a
-// character array, so a string literal or a static array converts, while a
-// runtime buffer does not compile — std::string::c_str() is no array, and
-// the address of a stack array is no constant expression. A StaticName's
-// pointer therefore identifies its text for the life of the program, which
-// lets the flight recorder and the span stack keep the pointer instead of a
-// copy.
-class StaticName {
- public:
-  template <size_t N>
-  consteval StaticName(const char (&name)[N]) : name_(name) {}  // Implicit: literals convert.
-
-  constexpr const char* c_str() const { return name_; }
-
- private:
-  const char* name_;
-};
 
 // Exact sample distribution. Stores every sample; fine at simulation scale.
 class Distribution {

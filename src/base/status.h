@@ -9,6 +9,7 @@
 #ifndef SRC_BASE_STATUS_H_
 #define SRC_BASE_STATUS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
@@ -78,8 +79,11 @@ enum class [[nodiscard]] Status : int32_t {
   // kProcessCrashed is the injected "process died inside the kernel" used by
   // the crash-restart recovery driver.
   kParityError = 130,
-  kProcessCrashed = 131,
+  kProcessCrashed = 131,  // Keep last: kStatusCodeLimit is one past it.
 };
+
+// One past the largest code: the size of a Status-indexed table.
+inline constexpr size_t kStatusCodeLimit = static_cast<size_t>(Status::kProcessCrashed) + 1;
 
 // Returns a stable, human-readable name such as "ACCESS_DENIED".
 std::string_view StatusName(Status status);

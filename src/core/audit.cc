@@ -2,10 +2,14 @@
 
 namespace multics {
 
-void AuditLog::Record(Cycles time, std::string_view principal, std::string_view operation,
-                      Uid uid, Status outcome) {
-  recent_.push_back(
-      AuditRecord{time, std::string(principal), std::string(operation), uid, outcome});
+std::string AuditRecord::ToString() const {
+  return std::to_string(time) + " " + principal.ToString() + " " + SpanName(operation) + " " +
+         std::to_string(uid) + " " + std::string(StatusName(outcome));
+}
+
+void AuditLog::Record(Cycles time, const Principal& principal, SpanId operation, Uid uid,
+                      Status outcome) {
+  recent_.push_back(AuditRecord{time, principal, operation, uid, outcome});
   if (recent_.size() > keep_recent_) {
     recent_.pop_front();
   }
@@ -14,37 +18,14 @@ void AuditLog::Record(Cycles time, std::string_view principal, std::string_view 
     return;
   }
   ++denials_;
-  ++denials_by_status_[static_cast<int32_t>(outcome)];
-  switch (outcome) {
-    case Status::kMlsReadViolation:
-    case Status::kMlsWriteViolation:
-      ++mls_denials_;
-      break;
-    case Status::kAccessDenied:
-      ++acl_denials_;
-      break;
-    case Status::kRingViolation:
-    case Status::kNotAGate:
-      ++ring_denials_;
-      break;
-    default:
-      break;
-  }
-}
-
-uint64_t AuditLog::denials_with(Status status) const {
-  auto it = denials_by_status_.find(static_cast<int32_t>(status));
-  return it == denials_by_status_.end() ? 0 : it->second;
+  ++denials_by_status_[static_cast<size_t>(outcome)];
 }
 
 void AuditLog::Clear() {
   recent_.clear();
   grants_ = 0;
   denials_ = 0;
-  mls_denials_ = 0;
-  acl_denials_ = 0;
-  ring_denials_ = 0;
-  denials_by_status_.clear();
+  denials_by_status_.fill(0);
 }
 
 }  // namespace multics

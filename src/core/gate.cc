@@ -54,7 +54,7 @@ std::vector<GateInfo> GateTable::gates() const {
   for (size_t i = 0; i < kGateCount; ++i) {
     if (present_.test(i)) {
       const GateId id = GateAt(i);
-      out.push_back(GateInfo{GateName(id).c_str(), GateCategoryOf(id), calls_[i]});
+      out.push_back(GateInfo{GateName(id), GateCategoryOf(id), calls_[i]});
     }
   }
   return out;

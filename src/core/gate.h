@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/base/result.h"
-#include "src/base/stats.h"
+#include "src/meter/span_census.h"
 
 namespace multics {
 
@@ -45,97 +45,12 @@ enum class GatePresence {
   kLegacyLogin,      // !login_as_subsystem_entry
 };
 
-// The gate census (experiment E1's unit of measure): the single source of
-// truth for the supervisor's user-callable surface, one row per gate,
-// X(enumerator, "name", GateCategory, GatePresence), in census order. It
-// generates GateId, so a gate prologue can only name a census gate — any
-// other name is a compile error — and the static certifier
-// (src/audit_static) re-derives each configuration's surface from it to
-// verify the live table. mx_lint checks that some gate body in src/core
-// names every row as GateId::kX.
-#define MX_GATE_CENSUS(X)                                                        \
-  /* Segment-number address space (the minimal interface). */                    \
-  X(kGetRootDir, "get_root_dir", kAddressSpace, kAlways)                         \
-  X(kInitiateSeg, "initiate_seg", kAddressSpace, kAlways)                        \
-  X(kTerminateSeg, "terminate_seg", kAddressSpace, kAlways)                      \
-  X(kKstStatus, "kst_status", kAddressSpace, kAlways)                            \
-  /* Pathname addressing: the kernel-resident half of the old naming world. */   \
-  X(kInitiatePath, "initiate_path", kPathAddressing, kNamingInKernel)            \
-  X(kInitiateCountPath, "initiate_count_path", kPathAddressing, kNamingInKernel) \
-  X(kTerminatePath, "terminate_path", kPathAddressing, kNamingInKernel)          \
-  X(kTerminateFilePath, "terminate_file_path", kPathAddressing, kNamingInKernel) \
-  X(kStatusPath, "status_path", kPathAddressing, kNamingInKernel)                \
-  X(kCreateSegPath, "create_seg_path", kPathAddressing, kNamingInKernel)         \
-  X(kDeletePath, "delete_path", kPathAddressing, kNamingInKernel)                \
-  X(kListDirPath, "list_dir_path", kPathAddressing, kNamingInKernel)             \
-  X(kSetAclPath, "set_acl_path", kPathAddressing, kNamingInKernel)               \
-  X(kChnamePath, "chname_path", kPathAddressing, kNamingInKernel)                \
-  X(kQuotaReadPath, "quota_read_path", kPathAddressing, kNamingInKernel)         \
-  X(kBindRefName, "bind_ref_name", kNaming, kNamingInKernel)                     \
-  X(kUnbindRefName, "unbind_ref_name", kNaming, kNamingInKernel)                 \
-  X(kLookupRefName, "lookup_ref_name", kNaming, kNamingInKernel)                 \
-  X(kListRefNames, "list_ref_names", kNaming, kNamingInKernel)                   \
-  X(kTerminateRefName, "terminate_ref_name", kNaming, kNamingInKernel)           \
-  X(kSetSearchRules, "set_search_rules", kNaming, kNamingInKernel)               \
-  X(kGetSearchRules, "get_search_rules", kNaming, kNamingInKernel)               \
-  X(kSearchInitiate, "search_initiate", kNaming, kNamingInKernel)                \
-  X(kGetPathname, "get_pathname", kNaming, kNamingInKernel)                      \
-  X(kExpandPathname, "expand_pathname", kNaming, kNamingInKernel)                \
-  X(kLinkSnapAll, "link_snap_all", kLinker, kLinkerInKernel)                     \
-  X(kLinkSnapOne, "link_snap_one", kLinker, kLinkerInKernel)                     \
-  X(kLinkLookupSymbol, "link_lookup_symbol", kLinker, kLinkerInKernel)           \
-  X(kLinkGetEntryBound, "link_get_entry_bound", kLinker, kLinkerInKernel)        \
-  X(kLinkGetDefs, "link_get_defs", kLinker, kLinkerInKernel)                     \
-  X(kLinkUnsnap, "link_unsnap", kLinker, kLinkerInKernel)                        \
-  X(kCombineLinkage, "combine_linkage", kLinker, kLinkerInKernel)                \
-  X(kSetLinkagePtr, "set_linkage_ptr", kLinker, kLinkerInKernel)                 \
-  /* File system (segment-number directory interface). */                        \
-  X(kFsCreateSeg, "fs_create_seg", kFileSystem, kAlways)                         \
-  X(kFsCreateDir, "fs_create_dir", kFileSystem, kAlways)                         \
-  X(kFsCreateLink, "fs_create_link", kFileSystem, kAlways)                       \
-  X(kFsDeleteEntry, "fs_delete_entry", kFileSystem, kAlways)                     \
-  X(kFsRename, "fs_rename", kFileSystem, kAlways)                                \
-  X(kFsAddName, "fs_add_name", kFileSystem, kAlways)                             \
-  X(kFsListDir, "fs_list_dir", kFileSystem, kAlways)                             \
-  X(kFsStatusSeg, "fs_status_seg", kFileSystem, kAlways)                         \
-  X(kFsSetAcl, "fs_set_acl", kFileSystem, kAlways)                               \
-  X(kFsRemoveAclEntry, "fs_remove_acl_entry", kFileSystem, kAlways)              \
-  X(kFsListAcl, "fs_list_acl", kFileSystem, kAlways)                             \
-  X(kFsSetRingBrackets, "fs_set_ring_brackets", kFileSystem, kAlways)            \
-  X(kFsSetMaxLength, "fs_set_max_length", kFileSystem, kAlways)                  \
-  X(kFsSetQuota, "fs_set_quota", kFileSystem, kAlways)                           \
-  X(kFsGetQuota, "fs_get_quota", kFileSystem, kAlways)                           \
-  X(kSegGetLength, "seg_get_length", kSegment, kAlways)                          \
-  X(kSegSetLength, "seg_set_length", kSegment, kAlways)                          \
-  X(kSegTruncate, "seg_truncate", kSegment, kAlways)                             \
-  X(kProcCreate, "proc_create", kProcess, kAlways)                               \
-  X(kProcDestroy, "proc_destroy", kProcess, kAlways)                             \
-  X(kProcGetInfo, "proc_get_info", kProcess, kAlways)                            \
-  X(kProcMetering, "proc_metering", kProcess, kAlways)                           \
-  X(kIpcCreateChannel, "ipc_create_channel", kIpc, kAlways)                      \
-  X(kIpcDestroyChannel, "ipc_destroy_channel", kIpc, kAlways)                    \
-  X(kIpcWakeup, "ipc_wakeup", kIpc, kAlways)                                     \
-  X(kIpcBlock, "ipc_block", kIpc, kAlways)                                       \
-  X(kIpcChannelStatus, "ipc_channel_status", kIpc, kAlways)                      \
-  X(kTtyRead, "tty_read", kDeviceIo, kPerDeviceIo)                               \
-  X(kTtyWrite, "tty_write", kDeviceIo, kPerDeviceIo)                             \
-  X(kCardRead, "card_read", kDeviceIo, kPerDeviceIo)                             \
-  X(kPrinterWrite, "printer_write", kDeviceIo, kPerDeviceIo)                     \
-  X(kPrinterEject, "printer_eject", kDeviceIo, kPerDeviceIo)                     \
-  X(kTapeRead, "tape_read", kDeviceIo, kPerDeviceIo)                             \
-  X(kTapeWrite, "tape_write", kDeviceIo, kPerDeviceIo)                           \
-  X(kTapeRewind, "tape_rewind", kDeviceIo, kPerDeviceIo)                         \
-  X(kTapeSkip, "tape_skip", kDeviceIo, kPerDeviceIo)                             \
-  X(kNetOpen, "net_open", kNetwork, kAlways)                                     \
-  X(kNetClose, "net_close", kNetwork, kAlways)                                   \
-  X(kNetRead, "net_read", kNetwork, kAlways)                                     \
-  X(kNetWrite, "net_write", kNetwork, kAlways)                                   \
-  X(kNetStatus, "net_status", kNetwork, kAlways)                                 \
-  X(kShutdown, "shutdown", kAdmin, kAlways)                                      \
-  X(kMeteringInfo, "metering_info", kAdmin, kAlways)                             \
-  X(kLogin, "login", kAdmin, kLegacyLogin)                                       \
-  X(kLogout, "logout", kAdmin, kLegacyLogin)
-
+// The gate census itself, MX_GATE_CENSUS(X) with rows X(enumerator, "name",
+// GateCategory, GatePresence), lives in src/meter/span_census.h: the gate
+// rows are also the first rows of the span census, so the meter names a
+// gate span and the audit log a gate operation by the same row. It
+// generates GateId here, so a gate prologue can only name a census gate —
+// any other name is a compile error.
 enum class GateId : uint8_t {
 #define MX_GATE_ENUMERATOR(id, name, category, presence) id,
   MX_GATE_CENSUS(MX_GATE_ENUMERATOR)
@@ -148,13 +63,12 @@ inline constexpr size_t kGateCount = 0 MX_GATE_CENSUS(MX_GATE_ONE);
 
 namespace gate_internal {
 struct GateRow {
-  StaticName name;
   GateCategory category;
   GatePresence presence;
 };
 inline constexpr GateRow kGateRows[kGateCount] = {
 #define MX_GATE_ROW(id, name, category, presence) \
-  {name, GateCategory::category, GatePresence::presence},
+  {GateCategory::category, GatePresence::presence},
     MX_GATE_CENSUS(MX_GATE_ROW)
 #undef MX_GATE_ROW
 };
@@ -162,7 +76,14 @@ inline constexpr GateRow kGateRows[kGateCount] = {
 
 constexpr size_t GateIndex(GateId id) { return static_cast<size_t>(id); }
 constexpr GateId GateAt(size_t index) { return static_cast<GateId>(index); }
-constexpr StaticName GateName(GateId id) { return gate_internal::kGateRows[GateIndex(id)].name; }
+#define MX_GATE_IS_SPAN(id, name, category, presence) \
+  GateIndex(GateId::id) == SpanIndex(SpanId::id) &&
+static_assert(MX_GATE_CENSUS(MX_GATE_IS_SPAN) kGateCount == kGateSpanCount,
+              "the gate rows must open the span census, in gate order");
+#undef MX_GATE_IS_SPAN
+// A gate's row in the span census: its span, trace and audit name.
+constexpr SpanId SpanOf(GateId id) { return SpanAt(GateIndex(id)); }
+constexpr const char* GateName(GateId id) { return SpanName(SpanOf(id)); }
 constexpr GateCategory GateCategoryOf(GateId id) {
   return gate_internal::kGateRows[GateIndex(id)].category;
 }

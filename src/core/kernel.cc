@@ -104,8 +104,6 @@ Kernel::Kernel(const KernelParams& params)
   for (const FlawReport& report : BuiltinFlawCatalog()) {
     flaws_.Add(report);
   }
-
-  gate_dist_ids_.fill(kInvalidMeterId);
 }
 
 Kernel::~Kernel() = default;
@@ -130,7 +128,7 @@ GateSpan::GateSpan(Kernel* kernel, Process& caller, GateId gate, uint32_t arg_wo
     // span itself stays on the current causal stack, so a gate called from a
     // bench's session span (or another process's open span) nests under it.
     saved_attribution_ = meter.SetAttribution(Attribution{caller.pid(), kRingKernel});
-    ctx_ = meter.OpenSpan(GateName(gate_), TraceEventKind::kGateEnter);
+    ctx_ = meter.OpenSpan(SpanOf(gate_), TraceEventKind::kGateEnter);
   }
   // Charged after the span opens so the crossing is gate self-time; the
   // charge itself does not depend on whether the meter is enabled.
@@ -145,27 +143,15 @@ GateSpan::~GateSpan() {
     return;
   }
   Meter& meter = kernel_->machine_.meter();
-  const Cycles elapsed = meter.CloseSpan(ctx_, TraceEventKind::kGateExit);
+  meter.CloseSpan(ctx_, TraceEventKind::kGateExit);
   meter.SetAttribution(saved_attribution_);
-  if (meter.enabled()) {
-    // The per-gate distribution id is interned once and cached by GateId,
-    // so the steady state records "gate/<name>" without building the name:
-    // 334k gate calls per 10k-session run made this concatenation one of the
-    // hottest allocation sites in the simulator.
-    MeterId& id = kernel_->gate_dist_ids_[GateIndex(gate_)];
-    if (id == kInvalidMeterId) {
-      id = meter.InternDistribution(std::string("gate/") + GateName(gate_).c_str());
-    }
-    meter.AddSample(id, static_cast<double>(elapsed));
-  }
 }
 
 Status Kernel::EnterGate(Process& caller, GateId gate) {
-  const char* name = GateName(gate).c_str();
   if (gates_.RecordCall(gate) != Status::kOk) {
     // The mechanism is not part of this configuration's kernel: there is no
     // such gate in the descriptor, so the hardware would fault the call.
-    audit_.Record(machine_.clock().now(), caller.principal_string(), name, kInvalidUid,
+    audit_.Record(machine_.clock().now(), caller.principal(), SpanOf(gate), kInvalidUid,
                   Status::kNotAGate);
     return Status::kNotAGate;
   }
@@ -175,12 +161,13 @@ Status Kernel::EnterGate(Process& caller, GateId gate) {
   // ordinary denial, so no kernel data structure is left half-updated —
   // exactly the containment property the gate discipline is meant to give.
   if (machine_.injector() != nullptr) {
-    InjectionDecision d = machine_.ConsultInjector(InjectSite::kGateEntry, name, caller.pid());
+    InjectionDecision d = machine_.ConsultInjector(InjectSite::kGateEntry, GateName(gate),
+                                                   caller.pid());
     if (d.IsFault()) {
       if (d.delay > 0) {
         machine_.Charge(d.delay, ChargeKind::kFaultPath);
       }
-      audit_.Record(machine_.clock().now(), caller.principal_string(), name, kInvalidUid,
+      audit_.Record(machine_.clock().now(), caller.principal(), SpanOf(gate), kInvalidUid,
                     d.fault);
       return d.fault;
     }
@@ -240,7 +227,7 @@ Result<Process*> Kernel::ProcCreate(Process& caller, const std::string& name,
   }
   auto process = BootstrapProcess(name, effective, label, std::move(program));
   if (process.ok()) {
-    audit_.Record(machine_.clock().now(), caller.principal_string(), "proc_create",
+    audit_.Record(machine_.clock().now(), caller.principal(), SpanId::kProcCreate,
                   kInvalidUid, Status::kOk);
   }
   return process;
@@ -253,7 +240,7 @@ Status Kernel::ProcDestroy(Process& caller, ProcessId pid) {
     return Status::kNoSuchProcess;
   }
   if (caller.ring() > kRingSupervisor && victim->principal() != caller.principal()) {
-    audit_.Record(machine_.clock().now(), caller.principal_string(), "proc_destroy",
+    audit_.Record(machine_.clock().now(), caller.principal(), SpanId::kProcDestroy,
                   kInvalidUid, Status::kAccessDenied);
     return Status::kAccessDenied;
   }
@@ -354,7 +341,7 @@ void Kernel::DisconnectSdwsFor(Uid uid) {
   }
 }
 
-Result<SegNo> Kernel::InitiateKnown(Process& caller, Uid uid, const char* operation) {
+Result<SegNo> Kernel::InitiateKnown(Process& caller, Uid uid, GateId gate) {
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   ++address_space_ops_;
 
@@ -362,11 +349,11 @@ Result<SegNo> Kernel::InitiateKnown(Process& caller, Uid uid, const char* operat
     uint8_t modes =
         monitor_.SegmentModes(*branch, caller.principal(), caller.clearance(), Trusted(caller));
     if (modes == kModeNull) {
-      audit_.Record(machine_.clock().now(), caller.principal_string(), operation, uid,
+      audit_.Record(machine_.clock().now(), caller.principal(), SpanOf(gate), uid,
                     Status::kAccessDenied);
       return Status::kAccessDenied;
     }
-    audit_.Record(machine_.clock().now(), caller.principal_string(), operation, uid,
+    audit_.Record(machine_.clock().now(), caller.principal(), SpanOf(gate), uid,
                   Status::kOk);
   }
 
@@ -480,20 +467,22 @@ Result<Process*> Kernel::LoginLegacy(Process& caller, const std::string& person,
                                      const std::string& project, const std::string& password,
                                      const MlsLabel& clearance) {
   MX_ENTER_GATE(caller, GateId::kLogin);
+  // Audited under the principal the login would create.
+  const Principal principal{person, project, "a"};
   auto max_clearance = CheckPassword(person, project, password);
   if (!max_clearance.ok()) {
-    audit_.Record(machine_.clock().now(), person + "." + project, "login", kInvalidUid,
+    audit_.Record(machine_.clock().now(), principal, SpanId::kLogin, kInvalidUid,
                   Status::kAuthenticationFailed);
     return max_clearance.status();
   }
   if (!max_clearance->Dominates(clearance)) {
-    audit_.Record(machine_.clock().now(), person + "." + project, "login", kInvalidUid,
+    audit_.Record(machine_.clock().now(), principal, SpanId::kLogin, kInvalidUid,
                   Status::kMlsReadViolation);
     return Status::kAccessDenied;
   }
-  audit_.Record(machine_.clock().now(), person + "." + project, "login", kInvalidUid,
+  audit_.Record(machine_.clock().now(), principal, SpanId::kLogin, kInvalidUid,
                 Status::kOk);
-  return BootstrapProcess(person + "_process", Principal{person, project, "a"}, clearance);
+  return BootstrapProcess(person + "_process", principal, clearance);
 }
 
 Status Kernel::Logout(Process& caller, ProcessId session) {
@@ -503,7 +492,7 @@ Status Kernel::Logout(Process& caller, ProcessId session) {
     return Status::kNoSuchProcess;
   }
   if (caller.ring() > kRingSupervisor && victim->principal() != caller.principal()) {
-    audit_.Record(machine_.clock().now(), caller.principal_string(), "logout",
+    audit_.Record(machine_.clock().now(), caller.principal(), SpanId::kLogout,
                   kInvalidUid, Status::kAccessDenied);
     return Status::kAccessDenied;
   }
@@ -516,7 +505,7 @@ Status Kernel::Logout(Process& caller, ProcessId session) {
   legacy_naming_.erase(session);
   fault_sinks_.erase(session);
   victim->set_state(TaskState::kDone);
-  audit_.Record(machine_.clock().now(), caller.principal_string(), "logout", kInvalidUid,
+  audit_.Record(machine_.clock().now(), caller.principal(), SpanId::kLogout, kInvalidUid,
                 Status::kOk);
   return Status::kOk;
 }

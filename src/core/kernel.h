@@ -335,13 +335,13 @@ class Kernel {
   void ChargeGateCrossing(uint32_t arg_words);
 
   // Initiation tail shared by all addressing flavours.
-  Result<SegNo> InitiateKnown(Process& caller, Uid uid, const char* operation);
+  Result<SegNo> InitiateKnown(Process& caller, Uid uid, GateId gate);
   // Connects (or reconnects) the SDW for a known segment.
   Status ConnectSdw(Process& process, SegNo segno, Uid uid);
   void DisconnectSdwsFor(Uid uid);
 
   Result<Uid> ResolveDirSegno(Process& caller, SegNo dir_segno) const;
-  Result<Uid> ResolvePathChecked(Process& caller, const std::string& path, const char* op);
+  Result<Uid> ResolvePathChecked(Process& caller, const std::string& path, GateId gate);
 
   // Drops one initiation (or, when force, all of them): the SDW, KST entry,
   // store reference, connection record, and legacy naming residue go away
@@ -361,10 +361,6 @@ class Kernel {
   SegmentStore store_;
   Hierarchy hierarchy_;
   GateTable gates_;
-  // Per-gate "gate/<name>" distribution ids, interned on a gate's first
-  // metered call (kInvalidMeterId until then), so a kernel that calls a
-  // handful of gates interns only those names.
-  std::array<MeterId, kGateCount> gate_dist_ids_;
   AuditLog audit_;
   ReferenceMonitor monitor_;
   FlawRegistry flaws_;
@@ -417,7 +413,6 @@ class KernelSnapshot {
   SegmentStore::State store;
   Hierarchy::State hierarchy;
   GateTable gates{GateSet{}};
-  std::array<MeterId, kGateCount> gate_dist_ids{};
   AuditLog audit;
   uint64_t monitor_checks = 0;
   FlawRegistry flaws;

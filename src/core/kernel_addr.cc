@@ -19,7 +19,7 @@ constexpr Cycles kPathComponentCycles = 120;
 
 Result<SegNo> Kernel::RootDir(Process& caller) {
   MX_ENTER_GATE(caller, GateId::kGetRootDir);
-  return InitiateKnown(caller, hierarchy_.root(), "get_root_dir");
+  return InitiateKnown(caller, hierarchy_.root(), GateId::kGetRootDir);
 }
 
 Result<InitiateResult> Kernel::Initiate(Process& caller, SegNo dir_segno,
@@ -31,7 +31,7 @@ Result<InitiateResult> Kernel::Initiate(Process& caller, SegNo dir_segno,
     return Status::kNotADirectory;
   }
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "initiate_seg",
+                                               caller.clearance(), kDirStatus, GateId::kInitiateSeg,
                                                machine_.clock().now(), Trusted(caller)));
   MX_ASSIGN_OR_RETURN(DirEntry entry, hierarchy_.Lookup(dir_uid, name));
 
@@ -44,7 +44,7 @@ Result<InitiateResult> Kernel::Initiate(Process& caller, SegNo dir_segno,
   }
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(entry.uid));
   result.is_directory = branch->is_directory;
-  MX_ASSIGN_OR_RETURN(result.segno, InitiateKnown(caller, entry.uid, "initiate_seg"));
+  MX_ASSIGN_OR_RETURN(result.segno, InitiateKnown(caller, entry.uid, GateId::kInitiateSeg));
   if (!branch->is_directory) {
     result.granted_modes =
         monitor_.SegmentModes(*branch, caller.principal(), caller.clearance(), Trusted(caller));
@@ -60,7 +60,7 @@ Status Kernel::Terminate(Process& caller, SegNo segno) {
 // --- Legacy pathname addressing -------------------------------------------------------
 
 Result<Uid> Kernel::ResolvePathChecked(Process& caller, const std::string& path_text,
-                                       const char* op) {
+                                       GateId gate) {
   MX_ASSIGN_OR_RETURN(Path path, Path::Parse(path_text));
   // Ring-0 pathname walk with per-directory access checks and link chasing:
   // exactly the complex mechanism the kernelized design evicts.
@@ -78,7 +78,7 @@ Result<Uid> Kernel::ResolvePathChecked(Process& caller, const std::string& path_
     machine_.Charge(kPathComponentCycles, ChargeKind::kKernelPathWalk);
     ++address_space_ops_;
     MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                                 caller.clearance(), kDirStatus, op,
+                                                 caller.clearance(), kDirStatus, gate,
                                                  machine_.clock().now(), Trusted(caller)));
     std::string component = pending.back();
     pending.pop_back();
@@ -98,15 +98,15 @@ Result<Uid> Kernel::ResolvePathChecked(Process& caller, const std::string& path_
 
 Result<SegNo> Kernel::InitiatePath(Process& caller, const std::string& path) {
   MX_ENTER_GATE(caller, GateId::kInitiatePath, 8);
-  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "initiate_path"));
-  MX_ASSIGN_OR_RETURN(SegNo segno, InitiateKnown(caller, uid, "initiate_path"));
+  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, GateId::kInitiatePath));
+  MX_ASSIGN_OR_RETURN(SegNo segno, InitiateKnown(caller, uid, GateId::kInitiatePath));
   naming(caller).pathnames[segno] = path;  // The legacy KST remembers paths.
   return segno;
 }
 
 Status Kernel::TerminatePath(Process& caller, const std::string& path) {
   MX_ENTER_GATE(caller, GateId::kTerminatePath, 8);
-  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "terminate_path"));
+  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, GateId::kTerminatePath));
   auto segno = caller.kst().SegNoOf(uid);
   if (!segno.ok()) {
     return Status::kSegmentNotKnown;
@@ -116,7 +116,7 @@ Status Kernel::TerminatePath(Process& caller, const std::string& path) {
 
 Result<BranchStatus> Kernel::FsStatusPath(Process& caller, const std::string& path) {
   MX_ENTER_GATE(caller, GateId::kStatusPath, 8);
-  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "status_path"));
+  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, GateId::kStatusPath));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   BranchStatus status;
   status.uid = uid;
@@ -136,19 +136,19 @@ Result<SegNo> Kernel::CreateSegmentPath(Process& caller, const std::string& path
   if (parsed.IsRoot()) {
     return Status::kInvalidArgument;
   }
-  MX_ASSIGN_OR_RETURN(Uid dir_uid,
-                      ResolvePathChecked(caller, parsed.Parent().ToString(), "create_seg_path"));
+  MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolvePathChecked(caller, parsed.Parent().ToString(),
+                                                     GateId::kCreateSegPath));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
                                                caller.clearance(), kDirAppend,
-                                               "create_seg_path", machine_.clock().now(), Trusted(caller)));
+                                               GateId::kCreateSegPath, machine_.clock().now(), Trusted(caller)));
   SegmentAttributes effective = attrs;
   effective.author = caller.principal();
   if (params_.config.mls_enforcement) {
     effective.label = caller.clearance();  // Created objects get the subject's label.
   }
   MX_ASSIGN_OR_RETURN(Uid uid, hierarchy_.CreateSegment(dir_uid, parsed.Leaf(), effective));
-  MX_ASSIGN_OR_RETURN(SegNo segno, InitiateKnown(caller, uid, "create_seg_path"));
+  MX_ASSIGN_OR_RETURN(SegNo segno, InitiateKnown(caller, uid, GateId::kCreateSegPath));
   naming(caller).pathnames[segno] = path;
   return segno;
 }
@@ -160,20 +160,20 @@ Status Kernel::DeletePath(Process& caller, const std::string& path) {
     return Status::kInvalidArgument;
   }
   MX_ASSIGN_OR_RETURN(Uid dir_uid,
-                      ResolvePathChecked(caller, parsed.Parent().ToString(), "delete_path"));
+                      ResolvePathChecked(caller, parsed.Parent().ToString(), GateId::kDeletePath));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "delete_path",
+                                               caller.clearance(), kDirModify, GateId::kDeletePath,
                                                machine_.clock().now(), Trusted(caller)));
   return hierarchy_.DeleteEntry(dir_uid, parsed.Leaf());
 }
 
 Result<std::vector<std::string>> Kernel::ListPath(Process& caller, const std::string& path) {
   MX_ENTER_GATE(caller, GateId::kListDirPath, 8);
-  MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolvePathChecked(caller, path, "list_dir_path"));
+  MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolvePathChecked(caller, path, GateId::kListDirPath));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "list_dir_path",
+                                               caller.clearance(), kDirStatus, GateId::kListDirPath,
                                                machine_.clock().now(), Trusted(caller)));
   MX_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, hierarchy_.List(dir_uid));
   std::vector<std::string> names;
@@ -191,10 +191,10 @@ Status Kernel::SetAclPath(Process& caller, const std::string& path, const AclEnt
     return Status::kInvalidArgument;
   }
   MX_ASSIGN_OR_RETURN(Uid dir_uid,
-                      ResolvePathChecked(caller, parsed.Parent().ToString(), "set_acl_path"));
+                      ResolvePathChecked(caller, parsed.Parent().ToString(), GateId::kSetAclPath));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "set_acl_path",
+                                               caller.clearance(), kDirModify, GateId::kSetAclPath,
                                                machine_.clock().now(), Trusted(caller)));
   MX_ASSIGN_OR_RETURN(DirEntry entry_found, hierarchy_.Lookup(dir_uid, parsed.Leaf()));
   if (entry_found.is_link) {
@@ -214,17 +214,17 @@ Status Kernel::ChnamePath(Process& caller, const std::string& path,
     return Status::kInvalidArgument;
   }
   MX_ASSIGN_OR_RETURN(Uid dir_uid,
-                      ResolvePathChecked(caller, parsed.Parent().ToString(), "chname_path"));
+                      ResolvePathChecked(caller, parsed.Parent().ToString(), GateId::kChnamePath));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "chname_path",
+                                               caller.clearance(), kDirModify, GateId::kChnamePath,
                                                machine_.clock().now(), Trusted(caller)));
   return hierarchy_.Rename(dir_uid, parsed.Leaf(), new_name);
 }
 
 Result<uint32_t> Kernel::QuotaReadPath(Process& caller, const std::string& path) {
   MX_ENTER_GATE(caller, GateId::kQuotaReadPath, 8);
-  MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolvePathChecked(caller, path, "quota_read_path"));
+  MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolvePathChecked(caller, path, GateId::kQuotaReadPath));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(dir_uid));
   return branch->quota_pages;
 }
@@ -303,11 +303,11 @@ Result<SegNo> Kernel::SearchInitiateInternal(Process& caller, const std::string&
     return it->second;
   }
   for (const std::string& rule : state.search_rules) {
-    auto uid = ResolvePathChecked(caller, rule + ">" + refname, "search_initiate");
+    auto uid = ResolvePathChecked(caller, rule + ">" + refname, GateId::kSearchInitiate);
     if (!uid.ok()) {
       continue;
     }
-    auto segno = InitiateKnown(caller, uid.value(), "search_initiate");
+    auto segno = InitiateKnown(caller, uid.value(), GateId::kSearchInitiate);
     if (!segno.ok()) {
       continue;  // Found but inaccessible: keep searching, as fs_search did.
     }
@@ -335,15 +335,15 @@ Result<std::string> Kernel::PathnameOf(Process& caller, SegNo segno) {
 Result<std::pair<SegNo, uint32_t>> Kernel::InitiateCountPath(Process& caller,
                                                              const std::string& path) {
   MX_ENTER_GATE(caller, GateId::kInitiateCountPath, 10);
-  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "initiate_count_path"));
-  MX_ASSIGN_OR_RETURN(SegNo segno, InitiateKnown(caller, uid, "initiate_count_path"));
+  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, GateId::kInitiateCountPath));
+  MX_ASSIGN_OR_RETURN(SegNo segno, InitiateKnown(caller, uid, GateId::kInitiateCountPath));
   naming(caller).pathnames[segno] = path;
   return std::make_pair(segno, caller.kst().size());
 }
 
 Status Kernel::TerminateFilePath(Process& caller, const std::string& path) {
   MX_ENTER_GATE(caller, GateId::kTerminateFilePath, 8);
-  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, "terminate_file_path"));
+  MX_ASSIGN_OR_RETURN(Uid uid, ResolvePathChecked(caller, path, GateId::kTerminateFilePath));
   auto segno = caller.kst().SegNoOf(uid);
   if (!segno.ok()) {
     return Status::kSegmentNotKnown;

@@ -24,7 +24,7 @@ Result<Uid> Kernel::FsCreateSegment(Process& caller, SegNo dir_segno, const std:
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirAppend, "fs_create_seg",
+                                               caller.clearance(), kDirAppend, GateId::kFsCreateSeg,
                                                machine_.clock().now(), Trusted(caller)));
   SegmentAttributes effective = attrs;
   effective.author = caller.principal();
@@ -35,7 +35,7 @@ Result<Uid> Kernel::FsCreateSegment(Process& caller, SegNo dir_segno, const std:
   // Nobody mints authority below their own ring at creation either.
   if (!effective.brackets.Valid() ||
       (effective.brackets.write_limit < caller.ring() && caller.ring() > kRingSupervisor)) {
-    audit_.Record(machine_.clock().now(), caller.principal().ToString(), "fs_create_seg",
+    audit_.Record(machine_.clock().now(), caller.principal(), SpanId::kFsCreateSeg,
                   kInvalidUid, Status::kRingViolation);
     return Status::kRingViolation;
   }
@@ -48,7 +48,7 @@ Result<Uid> Kernel::FsCreateDirectory(Process& caller, SegNo dir_segno, const st
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirAppend, "fs_create_dir",
+                                               caller.clearance(), kDirAppend, GateId::kFsCreateDir,
                                                machine_.clock().now(), Trusted(caller)));
   SegmentAttributes effective = attrs;
   effective.author = caller.principal();
@@ -64,8 +64,9 @@ Status Kernel::FsCreateLink(Process& caller, SegNo dir_segno, const std::string&
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirAppend, "fs_create_link",
-                                               machine_.clock().now(), Trusted(caller)));
+                                               caller.clearance(), kDirAppend,
+                                               GateId::kFsCreateLink, machine_.clock().now(),
+                                               Trusted(caller)));
   return hierarchy_.CreateLink(dir_uid, name, target);
 }
 
@@ -75,7 +76,7 @@ Status Kernel::FsDelete(Process& caller, SegNo dir_segno, const std::string& nam
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
                                                caller.clearance(), kDirModify,
-                                               "fs_delete_entry", machine_.clock().now(), Trusted(caller)));
+                                               GateId::kFsDeleteEntry, machine_.clock().now(), Trusted(caller)));
   return hierarchy_.DeleteEntry(dir_uid, name);
 }
 
@@ -85,7 +86,7 @@ Status Kernel::FsRename(Process& caller, SegNo dir_segno, const std::string& fro
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "fs_rename",
+                                               caller.clearance(), kDirModify, GateId::kFsRename,
                                                machine_.clock().now(), Trusted(caller)));
   return hierarchy_.Rename(dir_uid, from, to);
 }
@@ -96,7 +97,7 @@ Status Kernel::FsAddName(Process& caller, SegNo dir_segno, const std::string& ex
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "fs_add_name",
+                                               caller.clearance(), kDirModify, GateId::kFsAddName,
                                                machine_.clock().now(), Trusted(caller)));
   return hierarchy_.AddName(dir_uid, existing, additional);
 }
@@ -106,7 +107,7 @@ Result<std::vector<std::string>> Kernel::FsList(Process& caller, SegNo dir_segno
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "fs_list_dir",
+                                               caller.clearance(), kDirStatus, GateId::kFsListDir,
                                                machine_.clock().now(), Trusted(caller)));
   MX_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, hierarchy_.List(dir_uid));
   std::vector<std::string> names;
@@ -123,7 +124,7 @@ Result<BranchStatus> Kernel::FsStatus(Process& caller, SegNo dir_segno,
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "fs_status_seg",
+                                               caller.clearance(), kDirStatus, GateId::kFsStatusSeg,
                                                machine_.clock().now(), Trusted(caller)));
   MX_ASSIGN_OR_RETURN(DirEntry entry, hierarchy_.Lookup(dir_uid, name));
   if (entry.is_link) {
@@ -151,7 +152,7 @@ namespace {
 // The ACL operations need Modify on the *containing directory* (Multics kept
 // ACLs in the branch, which lives in the directory).
 Result<Uid> TargetForAclOp(Kernel& kernel, Process& caller, SegNo dir_segno,
-                           const std::string& name, const char* op) {
+                           const std::string& name, GateId gate) {
   MX_ASSIGN_OR_RETURN(Uid dir_uid, [&]() -> Result<Uid> {
     auto uid = caller.kst().UidOf(dir_segno);
     if (!uid.ok()) {
@@ -161,7 +162,7 @@ Result<Uid> TargetForAclOp(Kernel& kernel, Process& caller, SegNo dir_segno,
   }());
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, kernel.store().Get(dir_uid));
   MX_RETURN_IF_ERROR(kernel.monitor().RequireDirectory(*dir_branch, caller.principal(),
-                                                       caller.clearance(), kDirModify, op,
+                                                       caller.clearance(), kDirModify, gate,
                                                        kernel.machine().clock().now(), caller.ring() <= kRingSupervisor));
   MX_ASSIGN_OR_RETURN(DirEntry entry, kernel.hierarchy().Lookup(dir_uid, name));
   if (entry.is_link) {
@@ -175,7 +176,7 @@ Result<Uid> TargetForAclOp(Kernel& kernel, Process& caller, SegNo dir_segno,
 Status Kernel::FsSetAcl(Process& caller, SegNo dir_segno, const std::string& name,
                         const AclEntry& entry) {
   MX_ENTER_GATE(caller, GateId::kFsSetAcl, 12);
-  MX_ASSIGN_OR_RETURN(Uid uid, TargetForAclOp(*this, caller, dir_segno, name, "fs_set_acl"));
+  MX_ASSIGN_OR_RETURN(Uid uid, TargetForAclOp(*this, caller, dir_segno, name, GateId::kFsSetAcl));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   branch->acl.Set(entry);
   DisconnectSdwsFor(uid);  // Everyone re-derives access at the next touch.
@@ -187,7 +188,7 @@ Status Kernel::FsRemoveAclEntry(Process& caller, SegNo dir_segno, const std::str
                                 const std::string& tag) {
   MX_ENTER_GATE(caller, GateId::kFsRemoveAclEntry, 12);
   MX_ASSIGN_OR_RETURN(Uid uid,
-                      TargetForAclOp(*this, caller, dir_segno, name, "fs_remove_acl_entry"));
+                      TargetForAclOp(*this, caller, dir_segno, name, GateId::kFsRemoveAclEntry));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   MX_RETURN_IF_ERROR(branch->acl.Remove(person, project, tag));
   DisconnectSdwsFor(uid);
@@ -200,7 +201,7 @@ Result<std::vector<std::string>> Kernel::FsListAcl(Process& caller, SegNo dir_se
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "fs_list_acl",
+                                               caller.clearance(), kDirStatus, GateId::kFsListAcl,
                                                machine_.clock().now(), Trusted(caller)));
   MX_ASSIGN_OR_RETURN(DirEntry entry, hierarchy_.Lookup(dir_uid, name));
   if (entry.is_link) {
@@ -226,12 +227,12 @@ Status Kernel::FsSetRingBrackets(Process& caller, SegNo dir_segno, const std::st
   // Nobody may set a write bracket below their own ring: that would mint
   // authority they do not have.
   if (brackets.write_limit < caller.ring()) {
-    audit_.Record(machine_.clock().now(), caller.principal().ToString(),
-                  "fs_set_ring_brackets", kInvalidUid, Status::kRingViolation);
+    audit_.Record(machine_.clock().now(), caller.principal(),
+                  SpanId::kFsSetRingBrackets, kInvalidUid, Status::kRingViolation);
     return Status::kRingViolation;
   }
   MX_ASSIGN_OR_RETURN(Uid uid,
-                      TargetForAclOp(*this, caller, dir_segno, name, "fs_set_ring_brackets"));
+                      TargetForAclOp(*this, caller, dir_segno, name, GateId::kFsSetRingBrackets));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   branch->brackets = brackets;
   branch->gate = gate;
@@ -244,7 +245,7 @@ Status Kernel::FsSetMaxLength(Process& caller, SegNo dir_segno, const std::strin
                               uint32_t max_pages) {
   MX_ENTER_GATE(caller, GateId::kFsSetMaxLength, 10);
   MX_ASSIGN_OR_RETURN(Uid uid,
-                      TargetForAclOp(*this, caller, dir_segno, name, "fs_set_max_length"));
+                      TargetForAclOp(*this, caller, dir_segno, name, GateId::kFsSetMaxLength));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   if (max_pages < branch->pages) {
     return Status::kFailedPrecondition;  // Truncate first.
@@ -258,7 +259,7 @@ Status Kernel::FsSetQuota(Process& caller, SegNo dir_segno, uint32_t quota_pages
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
   MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "fs_set_quota",
+                                               caller.clearance(), kDirModify, GateId::kFsSetQuota,
                                                machine_.clock().now(), Trusted(caller)));
   if (quota_pages != 0 && quota_pages < dir_branch->quota_used) {
     return Status::kQuotaExceeded;
@@ -306,7 +307,7 @@ Status Kernel::SegSetLength(Process& caller, SegNo segno, uint32_t pages) {
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   // Changing the length modifies the segment: write access required.
   MX_RETURN_IF_ERROR(monitor_.RequireSegment(*branch, caller.principal(), caller.clearance(),
-                                             kModeWrite, GateName(gate).c_str(),
+                                             kModeWrite, gate,
                                              machine_.clock().now(), Trusted(caller)));
   MX_RETURN_IF_ERROR(store_.SetLength(uid, pages));
   // Refresh this process's SDW bound (others refresh on segment fault).

@@ -20,7 +20,7 @@ Result<ChannelId> Kernel::IpcCreateChannel(Process& caller, SegNo guard_segno) {
   MX_ASSIGN_OR_RETURN(Branch * guard, store_.Get(guard_uid));
   // Creating a channel on a guard requires write access to the guard.
   MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller.principal(), caller.clearance(),
-                                             kModeWrite, "ipc_create_channel",
+                                             kModeWrite, GateId::kIpcCreateChannel,
                                              machine_.clock().now(), Trusted(caller)));
   return traffic_.channels().Create(caller.pid(), guard_uid);
 }
@@ -46,7 +46,7 @@ Status Kernel::IpcWakeup(Process& caller, ChannelId channel, uint64_t data) {
   if (guard_uid.value() != 0) {
     MX_ASSIGN_OR_RETURN(Branch * guard, store_.Get(guard_uid.value()));
     MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller.principal(), caller.clearance(),
-                                               kModeWrite, "ipc_wakeup",
+                                               kModeWrite, GateId::kIpcWakeup,
                                                machine_.clock().now(), Trusted(caller)));
   }
   return traffic_.Wakeup(channel, EventMessage{data, caller.pid()});
@@ -61,7 +61,7 @@ Result<bool> Kernel::IpcAwait(Process& caller, TaskContext& ctx, ChannelId chann
   if (guard_uid.value() != 0) {
     MX_ASSIGN_OR_RETURN(Branch * guard, store_.Get(guard_uid.value()));
     MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller.principal(), caller.clearance(),
-                                               kModeRead, "ipc_block", machine_.clock().now(), Trusted(caller)));
+                                               kModeRead, GateId::kIpcBlock, machine_.clock().now(), Trusted(caller)));
   }
   return ctx.Await(channel);
 }
@@ -75,7 +75,7 @@ Result<uint64_t> Kernel::IpcChannelStatus(Process& caller, ChannelId channel) {
   if (guard_uid.value() != 0) {
     MX_ASSIGN_OR_RETURN(Branch * guard, store_.Get(guard_uid.value()));
     MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller.principal(), caller.clearance(),
-                                               kModeRead, "ipc_channel_status",
+                                               kModeRead, GateId::kIpcChannelStatus,
                                                machine_.clock().now(), Trusted(caller)));
   }
   return traffic_.channels().QueueLength(channel);

@@ -60,7 +60,7 @@ Result<uint32_t> Kernel::LinkSnapAll(Process& caller, SegNo object) {
   auto result = linker.SnapAll(object);
   kernel_faults_ += linker.wild_references();
   if (!result.ok()) {
-    audit_.Record(machine_.clock().now(), caller.principal().ToString(), "link_snap_all",
+    audit_.Record(machine_.clock().now(), caller.principal(), SpanId::kLinkSnapAll,
                   kInvalidUid, result.status());
     return result.status();
   }

@@ -37,7 +37,6 @@ KernelSnapshot Kernel::Snapshot() const {
   snap.store = store_.SaveState();
   snap.hierarchy = hierarchy_.SaveState();
   snap.gates = gates_;
-  snap.gate_dist_ids = gate_dist_ids_;
   snap.audit = audit_;
   snap.monitor_checks = monitor_.checks();
   snap.flaws = flaws_;
@@ -95,7 +94,6 @@ void Kernel::Restore(const KernelSnapshot& snap) {
   hierarchy_.RestoreState(snap.hierarchy);
 
   gates_ = snap.gates;
-  gate_dist_ids_ = snap.gate_dist_ids;
   audit_ = snap.audit;
   monitor_.RestoreChecks(snap.monitor_checks);
   flaws_ = snap.flaws;

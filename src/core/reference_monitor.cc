@@ -53,7 +53,7 @@ Status DenialReason(bool mls_enforced, const MlsLabel& clearance, const MlsLabel
 
 Status ReferenceMonitor::RequireSegment(const Branch& branch, const Principal& principal,
                                         const MlsLabel& clearance, uint8_t wanted,
-                                        const char* operation, Cycles now, bool trusted) {
+                                        GateId gate, Cycles now, bool trusted) {
   uint8_t granted = SegmentModes(branch, principal, clearance, trusted);
   Status outcome = Status::kOk;
   if ((granted & wanted) != wanted) {
@@ -62,13 +62,13 @@ Status ReferenceMonitor::RequireSegment(const Branch& branch, const Principal& p
                            (missing & (kModeRead | kModeExecute)) != 0,
                            (missing & kModeWrite) != 0);
   }
-  audit_->Record(now, principal.ToString(), operation, branch.uid, outcome);
+  audit_->Record(now, principal, SpanOf(gate), branch.uid, outcome);
   return outcome;
 }
 
 Status ReferenceMonitor::RequireDirectory(const Branch& branch, const Principal& principal,
                                           const MlsLabel& clearance, uint8_t wanted,
-                                          const char* operation, Cycles now, bool trusted) {
+                                          GateId gate, Cycles now, bool trusted) {
   uint8_t granted = DirectoryModes(branch, principal, clearance, trusted);
   Status outcome = Status::kOk;
   if ((granted & wanted) != wanted) {
@@ -77,7 +77,7 @@ Status ReferenceMonitor::RequireDirectory(const Branch& branch, const Principal&
                            (missing & kDirStatus) != 0,
                            (missing & (kDirModify | kDirAppend)) != 0);
   }
-  audit_->Record(now, principal.ToString(), operation, branch.uid, outcome);
+  audit_->Record(now, principal, SpanOf(gate), branch.uid, outcome);
   return outcome;
 }
 

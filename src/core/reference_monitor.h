@@ -12,6 +12,7 @@
 #define SRC_CORE_REFERENCE_MONITOR_H_
 
 #include "src/core/audit.h"
+#include "src/core/gate.h"
 #include "src/fs/branch.h"
 #include "src/hw/sdw.h"
 #include "src/mls/label.h"
@@ -37,15 +38,16 @@ class ReferenceMonitor {
   uint8_t DirectoryModes(const Branch& branch, const Principal& principal,
                          const MlsLabel& clearance, bool trusted = false);
 
-  // Checks that every bit of `wanted` is granted; audits the decision.
-  // The returned status distinguishes ACL denials from lattice denials so
-  // the audit trail shows *why* (and tests can assert on the reason).
+  // Checks that every bit of `wanted` is granted; audits the decision under
+  // the enclosing gate. The returned status distinguishes ACL denials from
+  // lattice denials so the audit trail shows *why* (and tests can assert on
+  // the reason).
   Status RequireSegment(const Branch& branch, const Principal& principal,
-                        const MlsLabel& clearance, uint8_t wanted, const char* operation,
-                        Cycles now, bool trusted = false);
+                        const MlsLabel& clearance, uint8_t wanted, GateId gate, Cycles now,
+                        bool trusted = false);
   Status RequireDirectory(const Branch& branch, const Principal& principal,
-                          const MlsLabel& clearance, uint8_t wanted, const char* operation,
-                          Cycles now, bool trusted = false);
+                          const MlsLabel& clearance, uint8_t wanted, GateId gate, Cycles now,
+                          bool trusted = false);
 
   // Builds the hardware descriptor embodying the decision.
   SegmentDescriptor BuildSdw(const Branch& branch, uint8_t granted_modes,

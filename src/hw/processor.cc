@@ -35,7 +35,6 @@ Status Processor::CheckPermissionBits(const SegmentDescriptor& sdw, AccessMode m
       return sdw.read ? Status::kOk : Status::kAccessDenied;
     case AccessMode::kWrite:
       return sdw.write ? Status::kOk : Status::kAccessDenied;
-    case AccessMode::kExecute:
     case AccessMode::kCall:
       return sdw.execute ? Status::kOk : Status::kAccessDenied;
   }
@@ -71,7 +70,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
             InjectSite::kMemoryAccess, "memory_reference", segno);
         if (d.IsFault()) {
           if (d.delay > 0) machine_->Charge(d.delay, ChargeKind::kFaultPath);
-          machine_->meter().Emit(TraceEventKind::kFaultTaken, "parity_fault", segno);
+          machine_->meter().Emit(TraceEventKind::kFaultTaken, SpanId::kParityFault, segno);
           return d.fault;
         }
       }
@@ -94,7 +93,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
       }
       ++segment_faults_;
       machine_->Charge(machine_->costs().fault_entry, ChargeKind::kFaultPath);
-      machine_->meter().Emit(TraceEventKind::kFaultTaken, "segment_fault", segno);
+      machine_->meter().Emit(TraceEventKind::kFaultTaken, SpanId::kSegmentFault, segno);
       Status st = faults_->HandleSegmentFault(segno);
       if (st != Status::kOk) {
         return st;
@@ -125,7 +124,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
       }
       ++page_faults_;
       machine_->Charge(machine_->costs().fault_entry, ChargeKind::kFaultPath);
-      machine_->meter().Emit(TraceEventKind::kFaultTaken, "page_fault", segno);
+      machine_->meter().Emit(TraceEventKind::kFaultTaken, SpanId::kPageFault, segno);
       Status st = faults_->HandlePageFault(segno, PageOf(offset), mode);
       if (st != Status::kOk) {
         return st;
@@ -146,7 +145,7 @@ Result<FrameIndex> Processor::Resolve(SegNo segno, WordOffset offset, AccessMode
           InjectSite::kMemoryAccess, "memory_reference", segno);
       if (d.IsFault()) {
         if (d.delay > 0) machine_->Charge(d.delay, ChargeKind::kFaultPath);
-        machine_->meter().Emit(TraceEventKind::kFaultTaken, "parity_fault", segno);
+        machine_->meter().Emit(TraceEventKind::kFaultTaken, SpanId::kParityFault, segno);
         return d.fault;
       }
     }
@@ -171,12 +170,6 @@ Status Processor::Write(SegNo segno, WordOffset offset, Word value) {
   return Status::kOk;
 }
 
-Status Processor::Fetch(SegNo segno, WordOffset offset) {
-  MX_ASSIGN_OR_RETURN(FrameIndex frame, Resolve(segno, offset, AccessMode::kExecute));
-  (void)frame;
-  return Status::kOk;
-}
-
 Status Processor::Call(SegNo target, WordOffset entry_offset, uint32_t arg_words) {
   if (dseg_ == nullptr) {
     return Status::kFailedPrecondition;
@@ -194,7 +187,7 @@ Status Processor::Call(SegNo target, WordOffset entry_offset, uint32_t arg_words
       }
       ++segment_faults_;
       machine_->Charge(machine_->costs().fault_entry, ChargeKind::kFaultPath);
-      machine_->meter().Emit(TraceEventKind::kFaultTaken, "segment_fault", target);
+      machine_->meter().Emit(TraceEventKind::kFaultTaken, SpanId::kSegmentFault, target);
       MX_RETURN_IF_ERROR(faults_->HandleSegmentFault(target));
       continue;
     }
@@ -233,7 +226,7 @@ Status Processor::Call(SegNo target, WordOffset entry_offset, uint32_t arg_words
                          costs.software_ring_arg_copy_per_word * arg_words;
           machine_->Charge(total, ChargeKind::kCallCross);
         }
-        machine_->meter().Emit(TraceEventKind::kRingCrossing, "call_cross", new_ring);
+        machine_->meter().Emit(TraceEventKind::kRingCrossing, SpanId::kCallCross, new_ring);
         ring_stack_.push_back(ring_);
         ring_ = new_ring;
         return Status::kOk;
@@ -244,7 +237,7 @@ Status Processor::Call(SegNo target, WordOffset entry_offset, uint32_t arg_words
         }
         ++cross_ring_calls_;
         machine_->Charge(costs.intra_ring_call, ChargeKind::kCallOutward);
-        machine_->meter().Emit(TraceEventKind::kRingCrossing, "call_outward",
+        machine_->meter().Emit(TraceEventKind::kRingCrossing, SpanId::kCallOutward,
                                sdw.brackets.write_limit);
         ring_stack_.push_back(ring_);
         ring_ = sdw.brackets.write_limit;
@@ -274,7 +267,7 @@ Status Processor::Return() {
                      ChargeKind::kReturnCross);
   }
   if (caller_ring != ring_) {
-    machine_->meter().Emit(TraceEventKind::kRingCrossing, "return_cross", caller_ring);
+    machine_->meter().Emit(TraceEventKind::kRingCrossing, SpanId::kReturnCross, caller_ring);
   }
   ring_ = caller_ring;
   return Status::kOk;

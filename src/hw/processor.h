@@ -49,9 +49,6 @@ class Processor {
   Result<Word> Read(SegNo segno, WordOffset offset);
   Status Write(SegNo segno, WordOffset offset, Word value);
 
-  // Instruction-fetch access check (execute permission in the current ring).
-  Status Fetch(SegNo segno, WordOffset offset);
-
   // Procedure call into `target` at `entry_offset`, carrying `arg_words`
   // words of arguments. Performs the ring-bracket analysis: intra-ring calls
   // transfer directly; inward calls require a gate entry and switch rings.
@@ -130,7 +127,7 @@ class Processor {
   // Ring of the caller for each frame of the (simulated) call stack.
   std::vector<RingNumber> ring_stack_;
 
-  WalkCache walk_cache_[4];  // Indexed by AccessMode.
+  WalkCache walk_cache_[static_cast<size_t>(AccessMode::kCall) + 1];  // By AccessMode.
 
   uint64_t segment_faults_ = 0;
   uint64_t page_faults_ = 0;

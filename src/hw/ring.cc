@@ -17,8 +17,6 @@ const char* AccessModeName(AccessMode mode) {
       return "read";
     case AccessMode::kWrite:
       return "write";
-    case AccessMode::kExecute:
-      return "execute";
     case AccessMode::kCall:
       return "call";
   }
@@ -31,15 +29,6 @@ RingCheck CheckRingBrackets(RingNumber ring, const RingBrackets& b, AccessMode m
       return ring <= b.write_limit ? RingCheck::kAllowed : RingCheck::kDenied;
     case AccessMode::kRead:
       return ring <= b.read_limit ? RingCheck::kAllowed : RingCheck::kDenied;
-    case AccessMode::kExecute:
-      // Plain transfer within the execute bracket keeps the current ring.
-      if (ring >= b.write_limit && ring <= b.read_limit) {
-        return RingCheck::kAllowed;
-      }
-      if (ring < b.write_limit) {
-        return RingCheck::kOutwardCall;
-      }
-      return RingCheck::kDenied;
     case AccessMode::kCall:
       if (ring >= b.write_limit && ring <= b.read_limit) {
         return RingCheck::kAllowed;  // Same-ring (or intra-bracket) call.

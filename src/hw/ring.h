@@ -49,7 +49,6 @@ inline RingBrackets KernelGateBrackets(RingNumber callers) {
 enum class AccessMode : uint8_t {
   kRead,
   kWrite,
-  kExecute,
   kCall,  // Transfer that may cross rings (through a gate).
 };
 

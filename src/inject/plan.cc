@@ -69,22 +69,6 @@ double StormRateFor(const StormConfig& storm, InjectSite site) {
 
 }  // namespace
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kDeviceError:
-      return "device-error";
-    case FaultKind::kDroppedInterrupt:
-      return "dropped-interrupt";
-    case FaultKind::kMemoryParity:
-      return "memory-parity";
-    case FaultKind::kGateCrash:
-      return "gate-crash";
-    case FaultKind::kHierarchyTear:
-      return "hierarchy-tear";
-  }
-  return "?";
-}
-
 void InjectionPlan::Add(FaultSpec spec) {
   if (spec.fault == Status::kOk) {
     spec.fault = DefaultFaultFor(spec.kind);

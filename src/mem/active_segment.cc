@@ -2,22 +2,6 @@
 
 namespace multics {
 
-const char* PageLevelName(PageLevel level) {
-  switch (level) {
-    case PageLevel::kZero:
-      return "zero";
-    case PageLevel::kCore:
-      return "core";
-    case PageLevel::kBulk:
-      return "bulk";
-    case PageLevel::kDisk:
-      return "disk";
-    case PageLevel::kInTransit:
-      return "in-transit";
-  }
-  return "?";
-}
-
 Result<ActiveSegment*> ActiveSegmentTable::Activate(uint64_t uid, uint32_t pages,
                                                     const std::vector<DevAddr>& disk_home) {
   if (table_.contains(uid)) {

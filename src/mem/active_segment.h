@@ -29,8 +29,6 @@ enum class PageLevel : uint8_t {
   kInTransit,  // Being moved asynchronously by a daemon; faulters must wait.
 };
 
-const char* PageLevelName(PageLevel level);
-
 struct PageLoc {
   PageLevel level = PageLevel::kZero;
   DevAddr addr = kInvalidDevAddr;

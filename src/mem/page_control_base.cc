@@ -83,7 +83,7 @@ Status PageControlBase::FetchIntoFrameSync(ActiveSegment* seg, PageNo page, Fram
       machine_->core().ZeroPage(frame);
       ChargeStep(ChargeKind::kPageControlCpu, 20);
       ++metrics_.zero_fills;
-      machine_->meter().Emit(TraceEventKind::kPageFetch, "fetch_zero", page);
+      machine_->meter().Emit(TraceEventKind::kPageFetch, SpanId::kFetchZero, page);
       break;
     }
     case PageLevel::kBulk: {
@@ -93,7 +93,7 @@ Status PageControlBase::FetchIntoFrameSync(ActiveSegment* seg, PageNo page, Fram
       MX_RETURN_IF_ERROR(bulk_->Free(loc.addr));
       RemoveBulkResident(seg, page);
       ++metrics_.fetches_from_bulk;
-      machine_->meter().Emit(TraceEventKind::kPageFetch, "fetch_bulk", page);
+      machine_->meter().Emit(TraceEventKind::kPageFetch, SpanId::kFetchBulk, page);
       break;
     }
     case PageLevel::kDisk: {
@@ -102,7 +102,7 @@ Status PageControlBase::FetchIntoFrameSync(ActiveSegment* seg, PageNo page, Fram
       machine_->core().WritePage(frame, data);
       MX_RETURN_IF_ERROR(disk_->Free(loc.addr));
       ++metrics_.fetches_from_disk;
-      machine_->meter().Emit(TraceEventKind::kPageFetch, "fetch_disk", page);
+      machine_->meter().Emit(TraceEventKind::kPageFetch, SpanId::kFetchDisk, page);
       break;
     }
     case PageLevel::kCore:
@@ -131,14 +131,14 @@ Status PageControlBase::EvictCorePageSync(FrameIndex frame, bool* cascaded) {
   // Disconnect the PTE before the copy leaves core.
   PageTableEntry& pte = seg->page_table.entries[page];
   pte.present = false;
-  machine_->meter().Emit(TraceEventKind::kPageEvictStart, "evict_sync", page);
+  machine_->meter().Emit(TraceEventKind::kPageEvictStart, SpanId::kEvictSync, page);
 
   if (bulk_->Full()) {
     if (cascaded != nullptr) {
       *cascaded = true;
     }
     ++metrics_.cascades;
-    machine_->meter().Emit(TraceEventKind::kCascade, "cascade", page);
+    machine_->meter().Emit(TraceEventKind::kCascade, SpanId::kCascade, page);
     Status cascade_st = MoveOldestBulkPageToDiskSync();
     if (cascade_st != Status::kOk) {
       pte.present = true;  // The frame still holds the data; undo.
@@ -168,7 +168,7 @@ Status PageControlBase::EvictCorePageSync(FrameIndex frame, bool* cascaded) {
   policy_->NotifyFreed(frame);
   core_map_->Release(frame);
   ++metrics_.core_evictions;
-  machine_->meter().Emit(TraceEventKind::kPageEvictDone, "evict_sync", page);
+  machine_->meter().Emit(TraceEventKind::kPageEvictDone, SpanId::kEvictSync, page);
   return Status::kOk;
 }
 
@@ -201,7 +201,7 @@ Status PageControlBase::MoveOldestBulkPageToDiskSync() {
   MX_RETURN_IF_ERROR(bulk_->Free(loc.addr));
   loc = PageLoc{PageLevel::kDisk, disk_addr.value()};
   ++metrics_.bulk_evictions;
-  machine_->meter().Emit(TraceEventKind::kPageEvictDone, "bulk_to_disk", page);
+  machine_->meter().Emit(TraceEventKind::kPageEvictDone, SpanId::kBulkToDisk, page);
   return Status::kOk;
 }
 

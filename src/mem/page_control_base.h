@@ -63,9 +63,6 @@ class PageControlBase : public PageControl {
   PagingDevice* bulk_;
   PagingDevice* disk_;
   ReplacementPolicy* policy_;
-  // The "page/fault_service" span distribution, interned on the first
-  // metered fault.
-  MeterId fault_service_dist_ = kInvalidMeterId;
 
   // FIFO of pages currently on the bulk store (move victims).
   std::deque<std::pair<ActiveSegment*, PageNo>> bulk_residents_;

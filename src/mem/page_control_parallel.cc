@@ -40,7 +40,7 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
   // The causal span covers the whole fault service, including daemon work
   // pumped from WaitFor: those callbacks run within this window, so their
   // events nest under this span in the attribution profile.
-  TraceSpan fault_span(&machine_->meter(), "page/fault_service", fault_service_dist_, page);
+  TraceSpan fault_span(&machine_->meter(), SpanId::kPageFaultService, page);
   const Cycles start = machine_->local_now();
   ChargeStep(ChargeKind::kPageControlCpu, 30);  // The whole fault path: wait + initiate.
 
@@ -63,7 +63,7 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
         pte.present = true;
         pte.used = true;
         ++metrics_.reclaims;
-        machine_->meter().Emit(TraceEventKind::kPageReclaim, "reclaim_core", page);
+        machine_->meter().Emit(TraceEventKind::kPageReclaim, SpanId::kReclaimCore, page);
         metrics_.fault_latency.Add(static_cast<double>(machine_->local_now() - start));
         metrics_.fault_path_steps.Add(1.0);
         return Status::kOk;
@@ -74,7 +74,7 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
       seg->location[page] = PageLoc{PageLevel::kBulk, seg->location[page].addr};
       AddBulkResident(seg, page);
       ++metrics_.reclaims;
-      machine_->meter().Emit(TraceEventKind::kPageReclaim, "reclaim_bulk", page);
+      machine_->meter().Emit(TraceEventKind::kPageReclaim, SpanId::kReclaimBulk, page);
     }
 
     // Take a free frame; the free-core daemon is supposed to have one ready.
@@ -193,7 +193,7 @@ void ParallelPageControl::WakeCoreDaemon() {
   }
   core_daemon_running_ = true;
   ++core_daemon_wakeups_;
-  machine_->meter().Emit(TraceEventKind::kDaemonWakeup, "free_core_daemon");
+  machine_->meter().Emit(TraceEventKind::kDaemonWakeup, SpanId::kFreeCoreDaemon);
   machine_->Charge(machine_->costs().wakeup, ChargeKind::kIpc);
   machine_->events().ScheduleAfter(machine_->costs().vp_switch, [this] { CoreDaemonStep(); });
 }
@@ -228,7 +228,7 @@ void ParallelPageControl::StartAsyncEviction(FrameIndex victim) {
 
   ++evictions_in_flight_;
   ++metrics_.core_evictions;
-  machine_->meter().Emit(TraceEventKind::kPageEvictStart, "evict_async", page);
+  machine_->meter().Emit(TraceEventKind::kPageEvictStart, SpanId::kEvictAsync, page);
 
   // Prefer the bulk store; if it is full, write straight to disk and let the
   // free-bulk daemon catch up.
@@ -238,7 +238,7 @@ void ParallelPageControl::StartAsyncEviction(FrameIndex victim) {
     device = disk_;
     target = PageLevel::kDisk;
     ++metrics_.cascades;
-    machine_->meter().Emit(TraceEventKind::kCascade, "cascade_async", page);
+    machine_->meter().Emit(TraceEventKind::kCascade, SpanId::kCascadeAsync, page);
     WakeBulkDaemon();
   } else if (bulk_->free_pages() < config_.bulk_low_water) {
     WakeBulkDaemon();
@@ -287,7 +287,7 @@ void ParallelPageControl::StartAsyncEviction(FrameIndex victim) {
                        if (target == PageLevel::kBulk) {
                          AddBulkResident(seg, page);
                        }
-                       machine_->meter().Emit(TraceEventKind::kPageEvictDone, "evict_async",
+                       machine_->meter().Emit(TraceEventKind::kPageEvictDone, SpanId::kEvictAsync,
                                               page);
                        FrameInfo& info = core_map_->info_mutable(victim);
                        info.evicting = false;
@@ -307,7 +307,7 @@ void ParallelPageControl::WakeBulkDaemon() {
   }
   bulk_daemon_running_ = true;
   ++bulk_daemon_wakeups_;
-  machine_->meter().Emit(TraceEventKind::kDaemonWakeup, "free_bulk_daemon");
+  machine_->meter().Emit(TraceEventKind::kDaemonWakeup, SpanId::kFreeBulkDaemon);
   machine_->Charge(machine_->costs().wakeup, ChargeKind::kIpc);
   machine_->events().ScheduleAfter(machine_->costs().vp_switch, [this] { BulkDaemonStep(); });
 }
@@ -375,7 +375,7 @@ void ParallelPageControl::BulkDaemonStep() {
             (void)bulk_->Free(bulk_addr);
             seg->location[page] = PageLoc{PageLevel::kDisk, addr};
             --bulk_moves_in_flight_;
-            machine_->meter().Emit(TraceEventKind::kPageEvictDone, "bulk_to_disk_async", page);
+            machine_->meter().Emit(TraceEventKind::kPageEvictDone, SpanId::kBulkToDiskAsync, page);
           });
     });
   }

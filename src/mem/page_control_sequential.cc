@@ -19,7 +19,7 @@ Status SequentialPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Ac
   // synchronous transfers inside suspend it (ReadSyncUnlocked) so only the
   // bookkeeping serializes across CPUs.
   LockGuard page_table(machine_->locks().PageTable());
-  TraceSpan fault_span(&machine_->meter(), "page/fault_service", fault_service_dist_, page);
+  TraceSpan fault_span(&machine_->meter(), SpanId::kPageFaultService, page);
   const Cycles start = machine_->local_now();
   uint32_t steps = 1;  // Fault analysis + fetch initiation.
   ChargeStep(ChargeKind::kPageControlCpu);

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/meter/span_census.h"
 
 namespace multics {
 
@@ -33,7 +34,7 @@ struct Attribution {
 struct SpanFrame {
   uint64_t id = 0;
   uint64_t parent = 0;      // Enclosing span's id at open time (0 = root).
-  const char* name = "";    // Static string owned by the call site.
+  SpanId name{};
   Cycles start = 0;
   Cycles child_cycles = 0;  // Total cycles of already-closed direct children.
   uint64_t pid = 0;         // Attribution captured at open.

@@ -84,7 +84,7 @@ std::string ChromeTraceJson(const Meter& meter) {
     first = false;
     const char phase = PhaseOf(ev.kind);
     out += "{\"name\":";
-    AppendJsonString(&out, ev.name);
+    AppendJsonString(&out, SpanName(ev.name));
     out += ",\"cat\":";
     AppendJsonString(&out, TraceEventKindName(ev.kind));
     std::snprintf(line, sizeof(line),
@@ -204,11 +204,6 @@ std::string MeterReport(const Meter& meter) {
     }
   }
   return os.str();
-}
-
-void PrintMeterReport(const Meter& meter, std::FILE* out) {
-  const std::string report = MeterReport(meter);
-  std::fwrite(report.data(), 1, report.size(), out);
 }
 
 }  // namespace multics

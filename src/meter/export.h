@@ -40,8 +40,6 @@ Status WriteTextFile(const std::string& text, const std::string& path);
 // cycle-attribution summary folded from closed spans.
 std::string MeterReport(const Meter& meter);
 
-void PrintMeterReport(const Meter& meter, std::FILE* out = stdout);
-
 }  // namespace multics
 
 #endif  // SRC_METER_EXPORT_H_

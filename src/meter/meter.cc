@@ -19,8 +19,8 @@ auto NameLowerBound(auto& names, std::string_view name) {
 }  // namespace
 
 Meter::Meter(const SimClock* clock, size_t recorder_capacity)
-    : clock_(clock), recorder_(recorder_capacity) {
-  paths_.push_back(PathNode{0, "", ""});  // Path id 0: the empty root.
+    : clock_(clock), recorder_(recorder_capacity), paths_{""}, path_children_(kSpanCount) {
+  span_dists_.fill(kInvalidMeterId);
 }
 
 MeterId Meter::InternCounter(std::string_view name) {
@@ -45,7 +45,7 @@ MeterId Meter::InternDistribution(std::string_view name) {
   return id;
 }
 
-void Meter::Emit(TraceEventKind kind, StaticName name, uint64_t arg) {
+void Meter::Emit(TraceEventKind kind, SpanId name, uint64_t arg) {
   MX_HOST_SPAN(kMeterRecord);
   if (!enabled_) {
     return;
@@ -54,27 +54,27 @@ void Meter::Emit(TraceEventKind kind, StaticName name, uint64_t arg) {
   const auto& stack = context_->stack;
   const uint64_t enclosing = stack.empty() ? 0 : stack.back().id;
   recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(stack.size()),
-                            name.c_str(), arg, attribution_.pid, enclosing, 0, cpu_});
+                            name, arg, attribution_.pid, enclosing, 0, cpu_});
 }
 
-uint32_t Meter::InternPath(uint32_t parent, const char* name) {
-  const PathKey key{parent, name};
-  auto it = path_ids_.find(key);
-  if (it != path_ids_.end()) {
-    return it->second;
+uint32_t Meter::InternPath(uint32_t parent, SpanId name) {
+  uint32_t& child = path_children_[parent * kSpanCount + SpanIndex(name)];
+  if (child != 0) {
+    return child;
   }
   const uint32_t id = static_cast<uint32_t>(paths_.size());
-  std::string full = paths_[parent].full;
+  child = id;  // Before the resize below moves the table.
+  std::string full = paths_[parent];
   if (!full.empty()) {
     full += ';';
   }
-  full += name;
-  paths_.push_back(PathNode{parent, name, std::move(full)});
-  path_ids_.emplace(key, id);
+  full += SpanName(name);
+  paths_.push_back(std::move(full));
+  path_children_.resize(paths_.size() * kSpanCount, 0);
   return id;
 }
 
-TraceContext* Meter::OpenSpan(StaticName name, TraceEventKind kind, uint64_t arg) {
+TraceContext* Meter::OpenSpan(SpanId name, TraceEventKind kind, uint64_t arg) {
   MX_HOST_SPAN(kMeterRecord);
   if (!enabled_) {
     return nullptr;
@@ -83,11 +83,11 @@ TraceContext* Meter::OpenSpan(StaticName name, TraceEventKind kind, uint64_t arg
   const uint64_t parent = ctx->stack.empty() ? 0 : ctx->stack.back().id;
   const uint32_t parent_path = ctx->stack.empty() ? 0 : ctx->stack.back().path_id;
   const uint64_t id = next_span_id_++;
-  ctx->stack.push_back(SpanFrame{id, parent, name.c_str(), clock_->now(), 0, attribution_.pid,
-                                 attribution_.ring, InternPath(parent_path, name.c_str())});
+  ctx->stack.push_back(SpanFrame{id, parent, name, clock_->now(), 0, attribution_.pid,
+                                 attribution_.ring, InternPath(parent_path, name)});
   ++kind_totals_[static_cast<size_t>(kind)];
   recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(ctx->stack.size()),
-                            name.c_str(), arg, attribution_.pid, id, parent, cpu_});
+                            name, arg, attribution_.pid, id, parent, cpu_});
   return ctx;
 }
 
@@ -99,7 +99,8 @@ Cycles Meter::CloseSpan(TraceContext* ctx, TraceEventKind kind) {
   CHECK(!ctx->stack.empty()) << "CloseSpan on a context with no open span";
   const SpanFrame frame = ctx->stack.back();
   const Cycles elapsed = clock_->now() - frame.start;
-  CHECK(frame.child_cycles <= elapsed) << "span '" << frame.name << "' children exceed total";
+  CHECK(frame.child_cycles <= elapsed)
+      << "span '" << SpanName(frame.name) << "' children exceed total";
   if (enabled_) {
     ++kind_totals_[static_cast<size_t>(kind)];
     recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(ctx->stack.size()),
@@ -116,6 +117,13 @@ Cycles Meter::CloseSpan(TraceContext* ctx, TraceEventKind kind) {
     entry.total += elapsed;
     entry.self += elapsed - frame.child_cycles;
     profile_view_valid_ = false;
+    MeterId& dist = span_dists_[SpanIndex(frame.name)];
+    if (dist == kInvalidMeterId) {
+      dist = IsGateSpan(frame.name)
+                 ? InternDistribution(std::string("gate/").append(SpanName(frame.name)))
+                 : InternDistribution(SpanName(frame.name));
+    }
+    AddSample(dist, static_cast<double>(elapsed));
   }
   return elapsed;
 }
@@ -214,7 +222,7 @@ const std::map<ProfileKey, ProfileEntry>& Meter::profile() const {
     profile_view_.clear();
     for (const ProfileCell& cell : profile_cells_) {
       ProfileEntry& entry =
-          profile_view_[ProfileKey{cell.pid, cell.ring, paths_[cell.path_id].full}];
+          profile_view_[ProfileKey{cell.pid, cell.ring, paths_[cell.path_id]}];
       entry.count += cell.entry.count;
       entry.self += cell.entry.self;
       entry.total += cell.entry.total;
@@ -300,23 +308,18 @@ void Meter::RestoreState(const State& state) {
   process_labels_ = state.process_labels;
 }
 
-TraceSpan::TraceSpan(Meter* meter, StaticName name, MeterId& dist, uint64_t arg)
-    : meter_(meter != nullptr && meter->enabled() ? meter : nullptr), name_(name), dist_(dist) {
+TraceSpan::TraceSpan(Meter* meter, SpanId name, uint64_t arg)
+    : meter_(meter != nullptr && meter->enabled() ? meter : nullptr) {
   if (meter_ == nullptr) {
     return;
   }
-  ctx_ = meter_->OpenSpan(name_, TraceEventKind::kSpanBegin, arg);
+  ctx_ = meter_->OpenSpan(name, TraceEventKind::kSpanBegin, arg);
 }
 
 TraceSpan::~TraceSpan() {
-  if (meter_ == nullptr) {
-    return;
+  if (meter_ != nullptr) {
+    meter_->CloseSpan(ctx_, TraceEventKind::kSpanEnd);
   }
-  const Cycles elapsed = meter_->CloseSpan(ctx_, TraceEventKind::kSpanEnd);
-  if (dist_ == kInvalidMeterId) {
-    dist_ = meter_->InternDistribution(name_.c_str());
-  }
-  meter_->AddSample(dist_, static_cast<double>(elapsed));
 }
 
 }  // namespace multics

@@ -30,16 +30,24 @@
 // MeterId — a name-sorted index maps name -> id, values live in flat
 // id-indexed cells — so recording through an id is an array add with no map
 // walk and no string construction. The owner of a name holds its id: a
-// fixed name ("ipc/receives", "page/fault_service") and a dynamic
-// per-object name (each SimLock, each gate) alike are interned once, lazily
-// on the first record, and recorded by id forever after, so a world that
-// never records never interns. The profile interns call paths the same way:
-// each SpanFrame carries the id of its path (parent path + name pointer), so
-// a span close is a hash probe and three adds instead of rebuilding a
-// ';'-joined string. Everything exported still reads from the name-sorted
+// fixed name ("ipc/receives") and a dynamic per-object name (each SimLock)
+// alike are interned once, lazily on the first record, and recorded by id
+// forever after, so a world that never records never interns. Spans and
+// trace events are named by SpanId, a row of the name census
+// (span_census.h), so a name is a byte everywhere until an exporter spells
+// it. The profile interns call paths by
+// (parent path, SpanId) in a dense table: each SpanFrame carries the id of
+// its path, so a span close is an index, a hash probe for the (pid, path,
+// ring) cell and three adds instead of rebuilding a ';'-joined string. Each
+// span's distribution ("gate/<name>" for a gate, "<name>" otherwise) is
+// interned by the Meter on the span's first recorded close and indexed by
+// SpanId after that. Everything exported still reads from the name-sorted
 // index, so output stays byte-identical with the pre-interning std::map
-// implementation. StaticName is only for names the recorder and the span
-// stack keep by pointer (Emit, OpenSpan, TraceSpan).
+// implementation.
+//
+// Names: three kinds, one mechanism each. Cycle charges are ChargeKind
+// (src/hw/charge.h), spans/trace events/audit operations are SpanId
+// (span_census.h), and counters are MeterIds interned by their owners.
 //
 // Determinism: everything is stamped with the sim clock and stored in
 // deterministic containers, so two same-seed runs export byte-identical
@@ -56,7 +64,6 @@
 #include <string>
 #include <string_view>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -119,8 +126,7 @@ class Meter {
     }
     dist_cells_[id]->Add(sample);
   }
-  // The recorder keeps `name`'s pointer, not a copy.
-  void Emit(TraceEventKind kind, StaticName name, uint64_t arg = 0);
+  void Emit(TraceEventKind kind, SpanId name, uint64_t arg = 0);
 
   // --- Causal spans --------------------------------------------------------
   // Opens a span on the current context: pushes a frame capturing the
@@ -128,10 +134,11 @@ class Meter {
   // context the frame was pushed on — pass it back to CloseSpan so the close
   // lands on the right stack even if the current context changed in between.
   // Returns null while disabled (CloseSpan(null) is a no-op).
-  TraceContext* OpenSpan(StaticName name, TraceEventKind kind, uint64_t arg = 0);
+  TraceContext* OpenSpan(SpanId name, TraceEventKind kind, uint64_t arg = 0);
   // Closes the top span of `ctx`: emits `kind` with arg = elapsed cycles,
-  // charges the elapsed total to the parent frame's child_cycles, and folds
-  // {count, self, total} into the attribution profile. Returns elapsed.
+  // charges the elapsed total to the parent frame's child_cycles, folds
+  // {count, self, total} into the attribution profile, and adds elapsed to
+  // the span's distribution. Returns elapsed.
   Cycles CloseSpan(TraceContext* ctx, TraceEventKind kind);
 
   // Installs `ctx` as the current context (null reinstalls the kernel root)
@@ -139,7 +146,6 @@ class Meter {
   // previous context. Called by the traffic controller around each dispatch.
   TraceContext* SetContext(TraceContext* ctx);
   TraceContext* context() const { return context_; }
-  TraceContext& root_context() { return root_context_; }
 
   // Overrides who cycles are attributed to without touching the span stack.
   // Returns the previous attribution so callers can restore it (GateSpan).
@@ -201,24 +207,6 @@ class Meter {
   void RestoreState(const State& state);
 
  private:
-  // Interned call-path node: `full` is the ';'-joined spelling, kept so the
-  // export view can be rebuilt without walking any span stack.
-  struct PathNode {
-    uint32_t parent = 0;
-    const char* name = "";
-    std::string full;
-  };
-  struct PathKey {
-    uint32_t parent;
-    const char* name;  // Compared by pointer; same text via two pointers
-                       // makes two nodes whose exports merge by spelling.
-    bool operator==(const PathKey& o) const { return parent == o.parent && name == o.name; }
-  };
-  struct PathKeyHash {
-    size_t operator()(const PathKey& k) const {
-      return (reinterpret_cast<uintptr_t>(k.name) >> 3) * 0x9E3779B97F4A7C15ull ^ k.parent;
-    }
-  };
   struct CellKey {
     uint64_t pid;
     uint32_t path_id;
@@ -246,8 +234,8 @@ class Meter {
     ProfileEntry entry;
   };
 
-  // Interns the path `parent` extended by span name `name`.
-  uint32_t InternPath(uint32_t parent, const char* name);
+  // Interns the path `parent` extended by span `name`.
+  uint32_t InternPath(uint32_t parent, SpanId name);
   // Find-or-create the profile cell for `key` (open-addressed; see
   // cell_slots_).
   uint32_t ProfileCellFor(const CellKey& key);
@@ -263,8 +251,14 @@ class Meter {
   std::vector<CounterCell> counter_cells_;                      // Id-indexed.
   std::vector<std::pair<std::string, MeterId>> dist_names_;     // Name-sorted.
   std::vector<std::unique_ptr<Distribution>> dist_cells_;       // Stable ptrs.
-  std::vector<PathNode> paths_;  // [0] is the empty root path.
-  std::unordered_map<PathKey, uint32_t, PathKeyHash> path_ids_;
+  // SpanId-indexed, interned on the span's first recorded close.
+  std::array<MeterId, kSpanCount> span_dists_;
+  // Path id -> ';'-joined spelling, kept so the export view is rebuilt
+  // without walking any span stack; [0] is the empty root path.
+  std::vector<std::string> paths_;
+  // (parent path id * kSpanCount + SpanId) -> child path id, 0 = not yet
+  // interned (the root is nobody's child). Grows by one row per path.
+  std::vector<uint32_t> path_children_;
   // Open-addressed CellKey -> profile cell index: power-of-two, linear
   // probing, grown under 70% load. Runs on every span close, so no
   // node-based map.
@@ -308,15 +302,13 @@ class Meter {
 
 // RAII helper for nested durations: opens a causal span (kSpanBegin) on
 // construction and closes it (kSpanEnd, arg = elapsed cycles) on
-// destruction, adding the elapsed cycles to the distribution named `name`.
-// `dist` is that distribution's id, held by the span's owner: it starts as
-// kInvalidMeterId and the first recorded close interns it. The enabled check
-// happens once, at construction; a span on a disabled meter costs two null
-// checks. The span remembers which context it opened on, so it closes
-// correctly even if the dispatcher switched contexts.
+// destruction, which adds the elapsed cycles to the span's distribution. The
+// enabled check happens once, at construction; a span on a disabled meter
+// costs two null checks. The span remembers which context it opened on, so
+// it closes correctly even if the dispatcher switched contexts.
 class TraceSpan {
  public:
-  TraceSpan(Meter* meter, StaticName name, MeterId& dist, uint64_t arg = 0);
+  TraceSpan(Meter* meter, SpanId name, uint64_t arg = 0);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -325,8 +317,6 @@ class TraceSpan {
  private:
   Meter* meter_;  // Null when the meter was disabled at construction.
   TraceContext* ctx_ = nullptr;
-  StaticName name_;
-  MeterId& dist_;
 };
 
 }  // namespace multics

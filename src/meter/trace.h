@@ -9,10 +9,10 @@
 // with the deterministic sim clock, so two same-seed runs produce
 // byte-identical traces.
 //
-// Events carry a `const char*` name taken from a StaticName (src/base/stats.h),
-// so recording an event is a handful of stores and the recorder never
-// allocates after construction (the ring's storage is reserved up front and
-// filled on demand).
+// Events carry a SpanId, a row of the name census (span_census.h), so
+// recording an event is a handful of stores and the recorder never allocates
+// after construction (the ring's storage is reserved up front and filled on
+// demand); the name is spelt only when a trace is exported.
 
 #ifndef SRC_METER_TRACE_H_
 #define SRC_METER_TRACE_H_
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/meter/span_census.h"
 
 namespace multics {
 
@@ -54,9 +55,7 @@ struct TraceEvent {
   Cycles time = 0;
   TraceEventKind kind = TraceEventKind::kSpanBegin;
   uint32_t depth = 0;   // Causal span depth of the current context when recorded.
-  // The ring stores the pointer, never a copy; the Meter only records
-  // StaticNames, whose text lives for the whole run.
-  const char* name = "";
+  SpanId name{};        // Spelt by SpanName() on export.
   uint64_t arg = 0;     // Event-specific payload (segno, pid, cycles, ...).
   // Causal attribution, filled in by the Meter at record time:
   uint64_t pid = 0;     // Process the cycles are attributed to (0 = kernel).

@@ -29,7 +29,7 @@ Status NetworkAttachment::Send(ConnId conn, const std::string& data) {
   }
   ++packets_out_;
   machine_->Charge(machine_->costs().instruction * 20, ChargeKind::kNetCpu);
-  machine_->meter().Emit(TraceEventKind::kPacketOut, "packet_out", conn);
+  machine_->meter().Emit(TraceEventKind::kPacketOut, SpanId::kPacketOut, conn);
   // Deliver to the remote sink after the wire latency.
   auto sink = it->second.remote_sink;
   if (sink) {
@@ -62,7 +62,7 @@ Status NetworkAttachment::InjectFromRemote(ConnId conn, const std::string& data)
   machine_->events().ScheduleAfter(config_.packet_latency, [this, conn, data] {
     // Delivery runs off the event queue under whatever context pumped it;
     // the span keeps arrival + interrupt assertion attributed as one unit.
-    TraceSpan deliver_span(&machine_->meter(), "net/deliver", deliver_dist_, conn);
+    TraceSpan deliver_span(&machine_->meter(), SpanId::kNetDeliver, conn);
     auto it = connections_.find(conn);
     if (it == connections_.end()) {
       ++lost_on_closed_;
@@ -73,7 +73,7 @@ Status NetworkAttachment::InjectFromRemote(ConnId conn, const std::string& data)
     message.data = data;
     (void)it->second.buffer->Enqueue(message);
     ++packets_in_;
-    machine_->meter().Emit(TraceEventKind::kPacketIn, "packet_in", conn);
+    machine_->meter().Emit(TraceEventKind::kPacketIn, SpanId::kPacketIn, conn);
     (void)machine_->interrupts().Assert(config_.interrupt_line, conn);
   });
   return Status::kOk;

@@ -90,7 +90,6 @@ class NetworkAttachment {
   uint64_t packets_in_ = 0;
   uint64_t packets_out_ = 0;
   uint64_t lost_on_closed_ = 0;
-  MeterId deliver_dist_ = kInvalidMeterId;  // "net/deliver", on first metered delivery.
 };
 
 }  // namespace multics

@@ -59,7 +59,6 @@ class Process {
       : pid_(pid),
         name_(std::move(name)),
         principal_(std::move(principal)),
-        principal_string_(principal_.ToString()),
         clearance_(clearance),
         ring_(ring),
         program_(std::move(program)),
@@ -69,11 +68,6 @@ class Process {
   ProcessId pid() const { return pid_; }
   const std::string& name() const { return name_; }
   const Principal& principal() const { return principal_; }
-  // The principal's "person.project.tag" spelling, built once. The audit log
-  // records it on every monitored operation; per-call ToString() was one of
-  // the hottest allocation sites in the simulator. (The principal itself is
-  // immutable after construction, so the cache cannot go stale.)
-  const std::string& principal_string() const { return principal_string_; }
   const MlsLabel& clearance() const { return clearance_; }
   RingNumber ring() const { return ring_; }
   void set_ring(RingNumber ring) {
@@ -182,7 +176,6 @@ class Process {
   ProcessId pid_;
   std::string name_;
   Principal principal_;
-  std::string principal_string_;  // principal_.ToString(), cached.
   MlsLabel clearance_;
   RingNumber ring_;
   std::unique_ptr<Task> program_;

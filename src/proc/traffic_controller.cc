@@ -26,7 +26,7 @@ bool TaskContext::Await(ChannelId channel) {
   (void)controller_->channels_.SetWaiter(channel, self_->pid());
   self_->set_blocked_on(channel);
   machine->Charge(machine->costs().block, ChargeKind::kIpc);
-  machine->meter().Emit(TraceEventKind::kIpcBlock, "ipc_block", channel);
+  machine->meter().Emit(TraceEventKind::kIpcBlock, SpanId::kIpcBlock, channel);
   return false;
 }
 
@@ -260,7 +260,7 @@ Status TrafficController::Wakeup(ChannelId channel, EventMessage message) {
     return waiter.status();
   }
   machine_->Charge(machine_->costs().wakeup, ChargeKind::kIpc);
-  machine_->meter().Emit(TraceEventKind::kIpcWakeup, "ipc_wakeup", channel);
+  machine_->meter().Emit(TraceEventKind::kIpcWakeup, SpanId::kIpcWakeup, channel);
   if (waiter.value() != kNoProcess) {
     if (Process* process = Find(waiter.value()); process != nullptr) {
       MakeReady(process);
@@ -309,7 +309,7 @@ void TrafficController::DispatchPendingInterrupts() {
     }
     const HandlerSpec& spec = it->second;
     const CostModel& costs = machine_->costs();
-    machine_->meter().Emit(TraceEventKind::kInterrupt, "interrupt", ev.line);
+    machine_->meter().Emit(TraceEventKind::kInterrupt, SpanId::kInterrupt, ev.line);
     if (interrupt_strategy_ == InterruptStrategy::kInlineInCurrentProcess || spec.inline_mode) {
       // The handler inhabits whatever process was running: its full body
       // executes now, on the interrupted VP, and the victim pays.
@@ -548,7 +548,7 @@ bool TrafficController::RunSlice() {
   Meter& meter = machine_->meter();
   TraceContext* previous_context = meter.SetContext(&next->trace_context());
   if (switched) {
-    meter.Emit(TraceEventKind::kDispatch, "dispatch", next->pid());
+    meter.Emit(TraceEventKind::kDispatch, SpanId::kDispatch, next->pid());
   }
   const Cycles busy_before = machine_->busy_cycles(cpu);
   TaskContext ctx(this, next);

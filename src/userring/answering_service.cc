@@ -92,8 +92,9 @@ Result<Process*> AnsweringService::Login(const std::string& person, const std::s
     return process;
   }
   ++failed_logins_;
-  kernel_->audit().Record(kernel_->machine().clock().now(), person + "." + project,
-                          "user_ring_login", kInvalidUid, Status::kAuthenticationFailed);
+  // Audited under the principal the login would have created.
+  kernel_->audit().Record(kernel_->machine().clock().now(), Principal{person, project, "a"},
+                          SpanId::kUserRingLogin, kInvalidUid, Status::kAuthenticationFailed);
   return Status::kAuthenticationFailed;
 }
 

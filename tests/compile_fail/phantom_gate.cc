@@ -1,5 +1,5 @@
 // Compile-fail fixture: a gate prologue can only name a gate in the census
-// (the X-macro table in src/core/gate.h) — a phantom gate, one no review
+// (the X-macro table in src/meter/span_census.h) — a phantom gate, one no review
 // ever saw, has no GateId.
 
 #include "src/core/kernel.h"

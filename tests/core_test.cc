@@ -89,18 +89,19 @@ TEST_F(KernelTest, RemovedGatesAnswerNotAGate) {
   const uint64_t calls_before = kernel_->gates().total_calls();
   // Each refusal is audited as a kNotAGate denial naming the gate, and no
   // call is counted against the table.
-  auto expect_refused = [&](Status status, const char* gate) {
-    EXPECT_EQ(status, Status::kNotAGate) << gate;
+  auto expect_refused = [&](Status status, GateId gate) {
+    EXPECT_EQ(status, Status::kNotAGate) << GateName(gate);
     ASSERT_FALSE(kernel_->audit().recent().empty());
     const AuditRecord& record = kernel_->audit().recent().back();
-    EXPECT_EQ(record.operation, gate);
+    EXPECT_EQ(record.operation, SpanOf(gate)) << GateName(gate);
     EXPECT_EQ(record.outcome, Status::kNotAGate);
   };
-  expect_refused(kernel_->InitiatePath(*user_, ">anything").status(), "initiate_path");
-  expect_refused(kernel_->NameBind(*user_, "x", 100), "bind_ref_name");
-  expect_refused(kernel_->LinkSnapAll(*user_, 100).status(), "link_snap_all");
-  expect_refused(kernel_->TtyRead(*user_, 0).status(), "tty_read");
-  expect_refused(kernel_->LoginLegacy(*user_, "Jones", "Faculty", "pw", {}).status(), "login");
+  expect_refused(kernel_->InitiatePath(*user_, ">anything").status(), GateId::kInitiatePath);
+  expect_refused(kernel_->NameBind(*user_, "x", 100), GateId::kBindRefName);
+  expect_refused(kernel_->LinkSnapAll(*user_, 100).status(), GateId::kLinkSnapAll);
+  expect_refused(kernel_->TtyRead(*user_, 0).status(), GateId::kTtyRead);
+  expect_refused(kernel_->LoginLegacy(*user_, "Jones", "Faculty", "pw", {}).status(),
+                 GateId::kLogin);
   EXPECT_EQ(kernel_->audit().denials_with(Status::kNotAGate), 5u);
   EXPECT_EQ(kernel_->gates().total_calls(), calls_before);
 }
@@ -108,8 +109,8 @@ TEST_F(KernelTest, RemovedGatesAnswerNotAGate) {
 TEST(GateIdTest, CensusNamesAreUniqueAndRoundTrip) {
   std::set<std::string> names;
   for (size_t i = 0; i < kGateCount; ++i) {
-    EXPECT_TRUE(names.insert(GateName(GateAt(i)).c_str()).second)
-        << "duplicate gate name " << GateName(GateAt(i)).c_str();
+    EXPECT_TRUE(names.insert(GateName(GateAt(i))).second)
+        << "duplicate gate name " << GateName(GateAt(i));
   }
   EXPECT_EQ(names.size(), 78u);
   // Every census row is present in the legacy 645 surface, and the table
@@ -120,7 +121,7 @@ TEST(GateIdTest, CensusNamesAreUniqueAndRoundTrip) {
   ASSERT_EQ(gates.size(), kGateCount);
   for (size_t i = 0; i < kGateCount; ++i) {
     EXPECT_EQ(GateIndex(GateAt(i)), i);
-    EXPECT_EQ(gates[i].name, GateName(GateAt(i)).c_str());
+    EXPECT_EQ(gates[i].name, GateName(GateAt(i)));
     EXPECT_EQ(gates[i].category, GateCategoryOf(GateAt(i)));
   }
   static_assert(GateCategoryOf(GateId::kLinkSnapAll) == GateCategory::kLinker);
@@ -190,14 +191,15 @@ TEST(AuditLogTest, DenialCountsSurviveTheRecentWindow) {
   // denials_with() used to scan only the bounded `recent_` deque, so counts
   // silently saturated at the window size. It is lifetime-backed now.
   AuditLog log(/*keep_recent=*/16);
+  const Principal jones{"Jones", "Faculty", "a"};
   for (int i = 0; i < 100; ++i) {
-    log.Record(i, "Jones.Faculty", "initiate", 1, Status::kAccessDenied);
+    log.Record(i, jones, SpanId::kInitiateSeg, 1, Status::kAccessDenied);
   }
   for (int i = 0; i < 40; ++i) {
-    log.Record(100 + i, "Jones.Faculty", "read", 2, Status::kMlsReadViolation);
+    log.Record(100 + i, jones, SpanId::kSegGetLength, 2, Status::kMlsReadViolation);
   }
-  log.Record(200, "Jones.Faculty", "call", 3, Status::kRingViolation);
-  log.Record(201, "Jones.Faculty", "initiate", 1, Status::kOk);
+  log.Record(200, jones, SpanId::kFsStatusSeg, 3, Status::kRingViolation);
+  log.Record(201, jones, SpanId::kInitiateSeg, 1, Status::kOk);
 
   EXPECT_EQ(log.recent().size(), 16u);  // Window stays bounded...
   EXPECT_EQ(log.denials_with(Status::kAccessDenied), 100u);  // ...counts don't.

@@ -300,6 +300,21 @@ TEST_F(LegacyGatesTest, DeviceGateEdgeCases) {
   EXPECT_EQ(kernel_->printer().pages(), 2u);
 }
 
+// A refused legacy login is audited under the principal the login would
+// have created, tag included, like every other audit record.
+TEST_F(LegacyGatesTest, FailedLoginIsAuditedUnderTheFullPrincipal) {
+  kernel_->RegisterUser("Jones", "Faculty", "pw", MlsLabel::SystemHigh());
+  EXPECT_EQ(kernel_->LoginLegacy(*init_, "Jones", "Faculty", "wrong", MlsLabel::SystemLow())
+                .status(),
+            Status::kAuthenticationFailed);
+  const AuditRecord& record = kernel_->audit().recent().back();
+  EXPECT_EQ(record.principal.ToString(), "Jones.Faculty.a");
+  EXPECT_EQ(record.operation, SpanId::kLogin);
+  EXPECT_EQ(record.outcome, Status::kAuthenticationFailed);
+  EXPECT_NE(record.ToString().find(" Jones.Faculty.a login 0 "), std::string::npos)
+      << record.ToString();
+}
+
 // The legacy logout gate: an unprivileged caller may end only a session
 // running under its own principal; a ring-0 caller may end any session.
 TEST_F(LegacyGatesTest, LogoutAuthorizesByPrincipal) {
@@ -313,8 +328,8 @@ TEST_F(LegacyGatesTest, LogoutAuthorizesByPrincipal) {
   EXPECT_EQ(kernel_->Logout(*user_, smith.value()->pid()), Status::kAccessDenied);
   EXPECT_EQ(kernel_->audit().denials_with(Status::kAccessDenied), denials_before + 1);
   const AuditRecord& denial = kernel_->audit().recent().back();
-  EXPECT_EQ(denial.operation, "logout");
-  EXPECT_EQ(denial.principal, user_->principal_string());
+  EXPECT_EQ(denial.operation, SpanId::kLogout);
+  EXPECT_EQ(denial.principal, user_->principal());
   EXPECT_EQ(denial.outcome, Status::kAccessDenied);
   EXPECT_NE(smith.value()->state(), TaskState::kDone);
 

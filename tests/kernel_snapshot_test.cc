@@ -162,8 +162,7 @@ std::string Fingerprint(World& w) {
   }
 
   for (const AuditRecord& r : k.audit().recent()) {
-    out << "audit " << r.time << " " << r.principal << " " << r.operation << " " << r.uid << " "
-        << StatusName(r.outcome) << "\n";
+    out << "audit " << r.ToString() << "\n";
   }
   out << "audit grants " << k.audit().grants() << " denials " << k.audit().denials() << "\n";
   for (const GateInfo& gate : k.gates().gates()) {

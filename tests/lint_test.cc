@@ -142,7 +142,7 @@ TEST_F(LintTest, MissingSrcTreeCannotPassVacuously) {
 // (tests/compile_fail/phantom_gate.cc); the rule checks coverage only.
 
 TEST_F(LintTest, CensusGateWithoutPrologueYieldsOneFinding) {
-  WriteFile("src/core/gate.h",
+  WriteFile("src/meter/span_census.h",
             "#define MX_GATE_CENSUS(X) \\\n"
             "  X(kAlpha, \"alpha\", kProcess, kAlways) \\\n"
             "  X(kBeta, \"beta\", kProcess, kAlways)\n");
@@ -155,13 +155,13 @@ TEST_F(LintTest, CensusGateWithoutPrologueYieldsOneFinding) {
   CheckGatePrologues(Root(), &report);
   ASSERT_EQ(report.findings.size(), 1u) << report.ToString();
   EXPECT_EQ(report.findings[0].rule, "gate-prologue");
-  EXPECT_EQ(report.findings[0].file, "src/core/gate.h");
+  EXPECT_EQ(report.findings[0].file, "src/meter/span_census.h");
   EXPECT_NE(report.findings[0].message.find("beta"), std::string::npos);
 }
 
 TEST_F(LintTest, GateIdChosenByTernaryOrAssignmentCounts) {
   // The seg_set_length / seg_truncate pattern: one body, two gates.
-  WriteFile("src/core/gate.h",
+  WriteFile("src/meter/span_census.h",
             "#define MX_GATE_CENSUS(X) \\\n"
             "  X(kSegSetLength, \"seg_set_length\", kSegment, kAlways) \\\n"
             "  X(kSegTruncate, \"seg_truncate\", kSegment, kAlways) \\\n"

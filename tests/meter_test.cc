@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
+#include <string_view>
 
 #include "src/init/bootstrap.h"
 #include "src/meter/export.h"
@@ -20,7 +23,7 @@ TEST(FlightRecorderTest, KeepsEverythingBeforeWrap) {
   FlightRecorder recorder(/*capacity=*/8);
   for (uint64_t i = 0; i < 5; ++i) {
     clock.Advance(10);
-    recorder.Push(TraceEvent{clock.now(), TraceEventKind::kDispatch, 0, "d", i});
+    recorder.Push(TraceEvent{clock.now(), TraceEventKind::kDispatch, 0, SpanId::kDispatch, i});
   }
   EXPECT_EQ(recorder.capacity(), 8u);
   EXPECT_EQ(recorder.size(), 5u);
@@ -37,7 +40,7 @@ TEST(FlightRecorderTest, WrapDropsOldestKeepsOrder) {
   FlightRecorder recorder(/*capacity=*/4);
   for (uint64_t i = 0; i < 10; ++i) {
     clock.Advance(1);
-    recorder.Push(TraceEvent{clock.now(), TraceEventKind::kDispatch, 0, "d", i});
+    recorder.Push(TraceEvent{clock.now(), TraceEventKind::kDispatch, 0, SpanId::kDispatch, i});
   }
   EXPECT_EQ(recorder.size(), 4u);
   EXPECT_EQ(recorder.total_recorded(), 10u);
@@ -63,7 +66,7 @@ TEST(FlightRecorderTest, CapacityIsTheConstructorArgument) {
 TEST(FlightRecorderTest, WrapOrderAndDroppedAcrossSeveralLaps) {
   FlightRecorder recorder(/*capacity=*/3);
   for (uint64_t i = 0; i < 11; ++i) {
-    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, "d", i});
+    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, SpanId::kDispatch, i});
     // Every prefix reads back as its newest min(i + 1, 3) events, oldest first.
     const size_t kept = i + 1 < 3 ? i + 1 : 3;
     ASSERT_EQ(recorder.size(), kept);
@@ -83,7 +86,7 @@ TEST(FlightRecorderTest, WrapOrderAndDroppedAcrossSeveralLaps) {
 TEST(FlightRecorderTest, ClearThenRefill) {
   FlightRecorder recorder(/*capacity=*/4);
   for (uint64_t i = 0; i < 6; ++i) {
-    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, "d", i});
+    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, SpanId::kDispatch, i});
   }
   recorder.Clear();
   EXPECT_EQ(recorder.size(), 0u);
@@ -91,13 +94,13 @@ TEST(FlightRecorderTest, ClearThenRefill) {
   EXPECT_EQ(recorder.dropped(), 0u);
   EXPECT_EQ(recorder.capacity(), 4u);
   for (uint64_t i = 100; i < 102; ++i) {
-    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, "d", i});
+    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, SpanId::kDispatch, i});
   }
   ASSERT_EQ(recorder.size(), 2u);
   EXPECT_EQ(recorder.at(0).arg, 100u);
   EXPECT_EQ(recorder.at(1).arg, 101u);
   for (uint64_t i = 102; i < 107; ++i) {
-    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, "d", i});
+    recorder.Push(TraceEvent{i, TraceEventKind::kDispatch, 0, SpanId::kDispatch, i});
   }
   EXPECT_EQ(recorder.size(), 4u);
   EXPECT_EQ(recorder.dropped(), 3u);
@@ -108,17 +111,79 @@ TEST(FlightRecorderTest, ClearThenRefill) {
   }
 }
 
+TEST(SpanCensusTest, NamesAreUnique) {
+  std::set<std::string_view> seen;
+  for (size_t i = 0; i < kSpanCount; ++i) {
+    EXPECT_TRUE(seen.insert(SpanName(SpanAt(i))).second) << SpanName(SpanAt(i));
+  }
+  EXPECT_EQ(seen.size(), kSpanCount);
+}
+
+TEST(SpanCensusTest, GateRowsSpellTheirGateNames) {
+  ASSERT_EQ(kGateSpanCount, kGateCount);
+  const std::vector<GateInfo> gates = GateTable(GateSet().set()).gates();
+  ASSERT_EQ(gates.size(), kGateCount);
+  for (size_t i = 0; i < kGateCount; ++i) {
+    const GateId gate = GateAt(i);
+    EXPECT_EQ(SpanIndex(SpanOf(gate)), i);
+    EXPECT_TRUE(IsGateSpan(SpanOf(gate)));
+    EXPECT_STREQ(SpanName(SpanOf(gate)), GateName(gate));
+    EXPECT_EQ(gates[i].name, SpanName(SpanOf(gate)));
+  }
+  for (size_t i = kGateCount; i < kSpanCount; ++i) {
+    EXPECT_FALSE(IsGateSpan(SpanAt(i))) << SpanName(SpanAt(i));
+  }
+  // A gate that is also a trace event is one row, not two.
+  EXPECT_EQ(SpanOf(GateId::kIpcBlock), SpanId::kIpcBlock);
+  EXPECT_EQ(SpanOf(GateId::kIpcWakeup), SpanId::kIpcWakeup);
+  // Export spellings the golden profiles and traces depend on.
+  EXPECT_STREQ(GateName(GateId::kInitiateSeg), "initiate_seg");
+  EXPECT_STREQ(SpanName(SpanId::kPageFaultService), "page/fault_service");
+  EXPECT_STREQ(SpanName(SpanId::kNetDeliver), "net/deliver");
+}
+
+TEST(SpanCensusTest, SpanNameRoundTrips) {
+  std::map<std::string_view, SpanId> by_name;
+  for (size_t i = 0; i < kSpanCount; ++i) {
+    by_name.emplace(SpanName(SpanAt(i)), SpanAt(i));
+  }
+  for (size_t i = 0; i < kSpanCount; ++i) {
+    const SpanId id = SpanAt(i);
+    EXPECT_EQ(SpanIndex(id), i);
+    EXPECT_EQ(by_name.at(SpanName(id)), id);
+  }
+}
+
+TEST(SpanCensusTest, GateSpansRecordUnderGatePrefixedDistributions) {
+  SimClock clock;
+  Meter meter(&clock, /*recorder_capacity=*/16);
+  TraceContext* gate = meter.OpenSpan(SpanOf(GateId::kFsCreateSeg), TraceEventKind::kGateEnter);
+  {
+    TraceSpan fault(&meter, SpanId::kPageFaultService);
+    clock.Advance(3);
+  }
+  clock.Advance(2);
+  meter.CloseSpan(gate, TraceEventKind::kGateExit);
+  const Distribution* gate_dist = meter.FindDistribution("gate/fs_create_seg");
+  ASSERT_NE(gate_dist, nullptr);
+  EXPECT_EQ(gate_dist->max(), 5.0);
+  const Distribution* fault_dist = meter.FindDistribution("page/fault_service");
+  ASSERT_NE(fault_dist, nullptr);
+  EXPECT_EQ(fault_dist->max(), 3.0);
+  EXPECT_EQ(meter.FindDistribution("fs_create_seg"), nullptr);
+  const auto& profile = meter.profile();
+  EXPECT_NE(profile.find(ProfileKey{0, 0, "fs_create_seg;page/fault_service"}), profile.end());
+}
+
 TEST(MeterTest, SpansNestAndPairUp) {
   SimClock clock;
   Meter meter(&clock, /*recorder_capacity=*/64);
-  MeterId outer_dist = kInvalidMeterId;
-  MeterId inner_dist = kInvalidMeterId;
   {
-    TraceSpan outer(&meter, "outer", outer_dist);
+    TraceSpan outer(&meter, SpanId::kSession);
     EXPECT_EQ(meter.span_depth(), 1u);
     clock.Advance(100);
     {
-      TraceSpan inner(&meter, "inner", inner_dist);
+      TraceSpan inner(&meter, SpanId::kSessionRound);
       EXPECT_EQ(meter.span_depth(), 2u);
       clock.Advance(7);
     }
@@ -135,13 +200,14 @@ TEST(MeterTest, SpansNestAndPairUp) {
   EXPECT_EQ(meter.recorder().at(2).arg, 7u);    // inner elapsed
   EXPECT_EQ(meter.recorder().at(3).arg, 107u);  // outer elapsed
 
-  const Distribution* inner_hist = meter.FindDistribution("inner");
+  // Each span's close lands in the distribution named by its census row.
+  const Distribution* inner_hist = meter.FindDistribution("session_round");
   ASSERT_NE(inner_hist, nullptr);
   EXPECT_EQ(inner_hist->count(), 1u);
   EXPECT_EQ(inner_hist->max(), 7.0);
-  // Each span interned its owner-held distribution id on its first close.
-  EXPECT_EQ(outer_dist, meter.InternDistribution("outer"));
-  EXPECT_EQ(inner_dist, meter.InternDistribution("inner"));
+  const Distribution* outer_hist = meter.FindDistribution("session");
+  ASSERT_NE(outer_hist, nullptr);
+  EXPECT_EQ(outer_hist->max(), 107.0);
 }
 
 TEST(MeterTest, DisabledMeterRecordsNothing) {
@@ -150,16 +216,15 @@ TEST(MeterTest, DisabledMeterRecordsNothing) {
   meter.set_enabled(false);
   const MeterId c = meter.InternCounter("c");
   const MeterId d = meter.InternDistribution("d");
-  MeterId s = kInvalidMeterId;
   meter.Count(c);
   meter.AddSample(d, 3.0);
-  meter.Emit(TraceEventKind::kFaultTaken, "f");
+  meter.Emit(TraceEventKind::kFaultTaken, SpanId::kPageFault);
   {
-    TraceSpan span(&meter, "s", s);
+    TraceSpan span(&meter, SpanId::kSession);
     clock.Advance(5);
     EXPECT_EQ(meter.span_depth(), 0u);
   }
-  EXPECT_EQ(s, kInvalidMeterId);  // A span that recorded nothing interns nothing.
+  EXPECT_EQ(meter.FindDistribution("session"), nullptr);
   EXPECT_EQ(meter.recorder().total_recorded(), 0u);
   EXPECT_EQ(meter.counter("c"), 0u);
   EXPECT_EQ(meter.FindDistribution("d"), nullptr);
@@ -284,40 +349,40 @@ TEST(MeterTest, SpanDoesNotAdoptAnotherProcessesChildren) {
   // Process A opens a span, then the dispatcher switches to B, which runs a
   // complete span of its own, then A resumes and runs a child of its own.
   TraceContext* before = meter.SetContext(&a);
-  TraceContext* a_span = meter.OpenSpan("a_span", TraceEventKind::kSpanBegin);
+  TraceContext* a_span = meter.OpenSpan(SpanId::kSession, TraceEventKind::kSpanBegin);
   clock.Advance(10);
   meter.SetContext(&b);
-  TraceContext* b_work = meter.OpenSpan("b_work", TraceEventKind::kSpanBegin);
+  TraceContext* b_work = meter.OpenSpan(SpanId::kNetDeliver, TraceEventKind::kSpanBegin);
   clock.Advance(7);
   meter.CloseSpan(b_work, TraceEventKind::kSpanEnd);
   meter.SetContext(&a);
-  TraceContext* a_child = meter.OpenSpan("a_child", TraceEventKind::kSpanBegin);
+  TraceContext* a_child = meter.OpenSpan(SpanId::kSessionRound, TraceEventKind::kSpanBegin);
   clock.Advance(5);
   meter.CloseSpan(a_child, TraceEventKind::kSpanEnd);
   meter.CloseSpan(a_span, TraceEventKind::kSpanEnd);
   meter.SetContext(before);
 
   const auto& profile = meter.profile();
-  // B's span is a root of B's own tree: path has no a_span prefix, pid is B's.
-  auto b_it = profile.find(ProfileKey{2, 4, "b_work"});
+  // B's span is a root of B's own tree: path has no session prefix, pid is B's.
+  auto b_it = profile.find(ProfileKey{2, 4, "net/deliver"});
   ASSERT_NE(b_it, profile.end());
   EXPECT_EQ(b_it->second.total, 7u);
   EXPECT_EQ(b_it->second.self, 7u);
   // A's child folded under A's path.
-  auto child_it = profile.find(ProfileKey{1, 4, "a_span;a_child"});
+  auto child_it = profile.find(ProfileKey{1, 4, "session;session_round"});
   ASSERT_NE(child_it, profile.end());
   EXPECT_EQ(child_it->second.total, 5u);
-  // a_span spans 22 elapsed cycles, but only a_child (5) is its child —
-  // B's 7 cycles were not adopted even though they fell inside A's window.
-  auto a_it = profile.find(ProfileKey{1, 4, "a_span"});
+  // A's session spans 22 elapsed cycles, but only its round (5) is its
+  // child — B's 7 cycles were not adopted though they fell inside A's window.
+  auto a_it = profile.find(ProfileKey{1, 4, "session"});
   ASSERT_NE(a_it, profile.end());
   EXPECT_EQ(a_it->second.total, 22u);
   EXPECT_EQ(a_it->second.self, 17u);
 
-  // The trace agrees: b_work's begin event has no parent span and B's pid.
+  // The trace agrees: B's begin event has no parent span and B's pid.
   bool saw_b_begin = false;
   for (const TraceEvent& ev : meter.recorder().Snapshot()) {
-    if (ev.kind == TraceEventKind::kSpanBegin && std::string(ev.name) == "b_work") {
+    if (ev.kind == TraceEventKind::kSpanBegin && ev.name == SpanId::kNetDeliver) {
       saw_b_begin = true;
       EXPECT_EQ(ev.parent, 0u);
       EXPECT_EQ(ev.pid, 2u);
@@ -371,11 +436,13 @@ TEST(MeterSystemTest, ProfileSelfPlusChildrenEqualsTotal) {
 }
 
 TEST(MeterTest, ControlCharactersInNamesAreEscapedInChromeTrace) {
+  // Event names are census rows; process labels are the dynamic names the
+  // exporter must escape.
   SimClock clock;
   Meter meter(&clock, /*recorder_capacity=*/16);
   meter.LabelProcess(3, "bad\nlabel\x02");
-  static const char kHostile[] = "evil\x01\x1fname\twith\"quote\\";
-  meter.Emit(TraceEventKind::kDispatch, kHostile, 1);
+  meter.LabelProcess(4, "evil\x01\x1fname\twith\"quote\\");
+  meter.Emit(TraceEventKind::kDispatch, SpanId::kDispatch, 1);
 
   const std::string json = ChromeTraceJson(meter);
   EXPECT_NE(json.find("\\u0001"), std::string::npos);

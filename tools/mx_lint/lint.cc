@@ -251,8 +251,9 @@ void CheckLayering(const std::string& repo_root, Report* report) {
 
 void CheckGatePrologues(const std::string& repo_root, Report* report) {
   const fs::path root(repo_root);
-  // The census is the X-macro table in src/core (gate.h): one
-  // X(kEnumerator, "name", category, presence) row per gate. The compiler
+  // The census is the X-macro table in src/meter (span_census.h): one
+  // X(kEnumerator, "name", category, presence) row per gate (the span rows
+  // after it have no category, so they do not match). The compiler
   // already rejects a prologue naming anything else (MX_ENTER_GATE takes a
   // GateId); what it cannot see is a census row no gate body enters — an
   // entry point registered in the table with no audited implementation.
@@ -260,22 +261,24 @@ void CheckGatePrologues(const std::string& repo_root, Report* report) {
   static const std::regex kGateRef("\\bGateId::(k[A-Za-z0-9]+)\\b");
   std::map<std::string, std::pair<std::string, std::string>> census;  // id -> (name, file)
   std::set<std::string> referenced;
-  for (const fs::path& file : SourceFiles(root / "src" / "core")) {
+  for (const fs::path& file : SourceFiles(root / "src" / "meter")) {
     const std::string raw = ReadFile(file);
     for (auto it = std::sregex_iterator(raw.begin(), raw.end(), kCensusRow);
          it != std::sregex_iterator(); ++it) {
       census.emplace((*it)[1].str(), std::make_pair((*it)[2].str(), RelPath(root, file)));
     }
+  }
+  for (const fs::path& file : SourceFiles(root / "src" / "core")) {
     if (file.extension() != ".cc") continue;
-    const std::string text = StripCommentsAndStrings(raw);
+    const std::string text = StripCommentsAndStrings(ReadFile(file));
     for (auto it = std::sregex_iterator(text.begin(), text.end(), kGateRef);
          it != std::sregex_iterator(); ++it) {
       referenced.insert((*it)[1].str());
     }
   }
   if (census.empty()) {
-    Add(report, "gate-prologue", "src/core", 0,
-        "no gate census found (no X(kGate, \"name\", ...) rows in src/core)");
+    Add(report, "gate-prologue", "src/meter", 0,
+        "no gate census found (no X(kGate, \"name\", ...) rows in src/meter)");
     return;
   }
   for (const auto& [id, where] : census) {

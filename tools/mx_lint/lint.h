@@ -14,8 +14,8 @@
 //                        kernel internals; nothing in the kernel includes
 //                        src/inject).
 //   2. gate-prologue   — coverage: every row of the gate census (the
-//                        X-macro table in src/core/gate.h) must be named as
-//                        GateId::kX by some gate body in src/core — no
+//                        X-macro table in src/meter/span_census.h) must be
+//                        named as GateId::kX by some gate body in src/core — no
 //                        registered entry point without an audited
 //                        implementation.
 //   3. mutable-counter  — no `mutable` arithmetic member in src/core: a

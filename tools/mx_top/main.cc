@@ -202,7 +202,7 @@ void Render(Kernel& kernel, const session::SessionEngine& engine, uint64_t slice
     const TraceEvent& ev = rec.at(i);
     std::printf("  %12s cpu%u pid%-4" PRIu64 " %-14s %s\n",
                 FmtCycles(ev.time).c_str(), ev.cpu, ev.pid,
-                TraceEventKindName(ev.kind), ev.name);
+                TraceEventKindName(ev.kind), SpanName(ev.name));
   }
   std::fflush(stdout);
 }
